@@ -5,16 +5,27 @@ over floor(sqrt(d)) randomly chosen features per node; each tree sees a
 bootstrap sample of the training set.  Everything is deterministic per
 seed (per-tree seeds are spawned from the forest seed, so a parallel fit
 would reproduce the serial one).
+
+A tree is a set of flat node arrays (feature, threshold, left, right,
+class counts) in depth-first, left-first order.  A leaf points to itself
+on both sides and has threshold +inf, so a walk that reaches it stays
+there.  The split search scores all sampled features of a node in one
+vectorised pass.  A fitted forest also holds its trees concatenated into
+one set of arrays; ``predict`` walks every (row, tree) pair through them
+together, one level per step, for as many steps as the deepest leaf.
+``RandomForest.to_json`` writes each tree's node arrays (leaf thresholds as
+``Infinity``).  Feature values must be finite: ``fit_rf`` and ``predict``
+raise ``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, SingleClassError
+from .errors import NumericalError, ShapeError, SingleClassError
 
 POS, NEG = "+", "-"
 
@@ -34,77 +45,108 @@ class EvalReport:
 
 
 class DecisionTree:
-    """CART-style tree; nodes are nested dicts, leaves hold class counts."""
+    """CART-style tree stored as flat node arrays; leaves hold class counts."""
 
-    def __init__(self, max_depth, seed):
+    def __init__(self, max_depth):
         self.max_depth = max_depth
-        self.seed = seed
-        self.root = None
-        self.n_features = None
+        self.feature = None      # split feature per node (0 at leaves)
+        self.threshold = None    # go left when x[feature] <= threshold; +inf at leaves
+        self.left = None         # child node indices; a leaf points to itself
+        self.right = None
+        self.counts = None       # (n_nodes, 2) class counts (neg, pos) reaching each node
+        self.depth = None        # depth of the deepest leaf
 
     def fit(self, x, y01, rng):
-        self.n_features = x.shape[1]
-        self.root = self._grow(x, y01, depth=0, rng=rng)
+        nodes = []
+        xt = np.ascontiguousarray(x.T)  # one row per feature: node samples gather contiguously
+        self.depth = self._grow(xt, np.arange(len(y01)), y01, 0, rng, nodes)
+        feature, threshold, left, right, neg, pos = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.counts = np.column_stack([neg, pos]).astype(np.int64)
         return self
 
-    def _grow(self, x, y, depth, rng):
+    def _grow(self, xt, rows, y, depth, rng, nodes):
+        """Append the nodes of the subtree over samples ``rows`` (labels ``y``)
+        to ``nodes``; return its deepest leaf's depth."""
+        node = len(nodes)
         n_pos = int(y.sum())
-        counts = (len(y) - n_pos, n_pos)
+        nodes.append([0, np.inf, node, node, len(y) - n_pos, n_pos])
         if depth >= self.max_depth or len(y) < 2 or n_pos in (0, len(y)):
-            return {"leaf": counts}
-        split = self._best_split(x, y, rng)
+            return depth
+        split = self._best_split(xt, rows, y, rng)
         if split is None:
-            return {"leaf": counts}
+            return depth
         feat, thr = split
-        mask = x[:, feat] <= thr
-        return {
-            "feature": feat,
-            "threshold": thr,
-            "left": self._grow(x[mask], y[mask], depth + 1, rng),
-            "right": self._grow(x[~mask], y[~mask], depth + 1, rng),
-        }
+        mask = xt[feat, rows] <= thr
+        nodes[node][:3] = feat, thr, node + 1
+        left_depth = self._grow(xt, rows[mask], y[mask], depth + 1, rng, nodes)
+        nodes[node][3] = len(nodes)
+        right_depth = self._grow(xt, rows[~mask], y[~mask], depth + 1, rng, nodes)
+        return max(left_depth, right_depth)
 
-    def _best_split(self, x, y, rng):
-        n, d = x.shape
+    def _best_split(self, xt, rows, y, rng):
+        """(feature, threshold) of the lowest weighted Gini over the sampled
+        features, or None when every sampled feature is constant on ``rows``.
+        Ties go to the first sampled feature that reaches the minimum."""
+        d, n = xt.shape[0], len(rows)
         n_try = max(1, int(np.sqrt(d)))
         feats = rng.choice(d, size=n_try, replace=False)
-        best = None
-        best_score = np.inf
-        for feat in feats:
-            vals = x[:, feat]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            sy = y[order]
-            pos_left = np.cumsum(sy)[:-1]
-            n_left = np.arange(1, n)
-            valid = sv[1:] != sv[:-1]
-            if not valid.any():
-                continue
-            pos_right = pos_left[-1] + sy[-1] - pos_left
-            n_right = n - n_left
-            p_l = pos_left / n_left
-            p_r = pos_right / n_right
-            gini = n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)
-            gini = np.where(valid, gini, np.inf)
-            i = int(np.argmin(gini))
-            if gini[i] < best_score:
-                best_score = gini[i]
-                best = (int(feat), float((sv[i] + sv[i + 1]) / 2.0))
-        return best
+        tried = np.arange(n_try)[:, None]
+        vals = xt[feats[:, None], rows]
+        # Any sort kind gives the same split: reordering equal values changes
+        # the running class counts only between equal values, and those
+        # positions are masked out below.
+        order = np.argsort(vals, axis=1)
+        sv = vals[tried, order]
+        sy = y[order]
+        pos_left = np.cumsum(sy, axis=1)[:, :-1]
+        n_left = np.arange(1, n)
+        valid = sv[:, 1:] != sv[:, :-1]
+        pos_right = pos_left[:, -1:] + sy[:, -1:] - pos_left
+        n_right = n - n_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini = n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)
+        gini = np.where(valid, gini, np.inf)
+        at = np.argmin(gini, axis=1)
+        j = int(np.argmin(gini[tried[:, 0], at]))
+        i = at[j]
+        if not valid[j, i]:
+            return None
+        return int(feats[j]), float((sv[j, i] + sv[j, i + 1]) / 2.0)
 
     def predict_pos_votes(self, x):
         """Per-sample 0/1 vote (leaf majority, ties to the positive class)."""
-        out = np.empty(x.shape[0], dtype=np.int64)
-        for i, row in enumerate(x):
-            node = self.root
-            while "leaf" not in node:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-            neg, pos = node["leaf"]
-            out[i] = 1 if pos >= neg else 0
-        return out
+        return _walk(x, self.feature, self.threshold, self.left, self.right, self.counts,
+                     np.zeros(1, dtype=np.intp), self.depth)[:, 0]
 
     def to_dict(self):
-        return {"max_depth": self.max_depth, "seed": self.seed, "root": self.root}
+        return {
+            "max_depth": self.max_depth,
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "counts": self.counts.tolist(),
+        }
+
+
+def _walk(x, feature, threshold, left, right, counts, roots, steps):
+    """(n_rows, n_trees) 0/1 leaf votes, ties to the positive class.  Every
+    (row, tree) pair descends one level per step from ``roots``; a pair that
+    reaches a leaf early stays there."""
+    n, d = x.shape
+    flat = x.ravel()
+    offset = (np.arange(n) * d)[:, None]
+    node = np.repeat(roots[None, :], n, axis=0)
+    for _ in range(steps):
+        go_left = flat[offset + feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    leaf = counts[node]
+    return (leaf[..., 1] >= leaf[..., 0]).astype(np.int64)
 
 
 @dataclass
@@ -114,6 +156,21 @@ class RandomForest:
     max_depth: int
     seed: int
     n_features: int
+    # every tree's nodes concatenated, child indices shifted to match
+    _nodes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = [len(t.feature) for t in self.trees]
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+        self._nodes = (
+            np.concatenate([t.feature for t in self.trees]),
+            np.concatenate([t.threshold for t in self.trees]),
+            np.concatenate([t.left + r for t, r in zip(self.trees, roots)]),
+            np.concatenate([t.right + r for t, r in zip(self.trees, roots)]),
+            np.concatenate([t.counts for t in self.trees]),
+            roots,
+            max(t.depth for t in self.trees),
+        )
 
     def to_json(self):
         return json.dumps(
@@ -136,12 +193,21 @@ def _encode_labels(y):
     return (y == POS).astype(np.int64)
 
 
+def _finite_features(x, stage):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{stage}: features contain NaN or inf")
+    return x
+
+
 def fit_rf(x, y, n_estimators=100, max_depth=8, seed=0):
     """Fit a bootstrap forest; deterministic per seed."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _finite_features(x, "forest fit")
     y01 = _encode_labels(y)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
+    if n_estimators < 1:
+        raise ValueError("need at least 1 tree")
     if len(np.unique(y01)) < 2:
         raise SingleClassError("training data contains a single class")
     seeds = np.random.SeedSequence(seed).spawn(n_estimators)
@@ -150,19 +216,16 @@ def fit_rf(x, y, n_estimators=100, max_depth=8, seed=0):
     for i in range(n_estimators):
         rng = np.random.default_rng(seeds[i])
         idx = rng.integers(0, n, size=n)
-        tree = DecisionTree(max_depth, i).fit(x[idx], y01[idx], rng)
-        trees.append(tree)
+        trees.append(DecisionTree(max_depth).fit(x[idx], y01[idx], rng))
     return RandomForest(trees, n_estimators, max_depth, seed, x.shape[1])
 
 
 def predict(forest, x):
     """Majority vote over trees; exact ties go to '+'."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _finite_features(x, "forest predict")
     if x.shape[1] != forest.n_features:
         raise ShapeError(f"feature dim {x.shape[1]} != {forest.n_features}")
-    votes = np.zeros(x.shape[0], dtype=np.int64)
-    for tree in forest.trees:
-        votes += tree.predict_pos_votes(x)
+    votes = _walk(x, *forest._nodes).sum(axis=1)
     pos = votes * 2 >= len(forest.trees)
     return np.where(pos, POS, NEG)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jmml.errors import ShapeError, SingleClassError
+from jmml.errors import NumericalError, ShapeError, SingleClassError
 from jmml.forest import NEG, POS, DecisionTree, evaluate, fit_rf, grid_search, predict
 
 
@@ -43,6 +43,12 @@ def test_single_class_rejected():
         fit_rf(x, np.array([POS] * 10))
 
 
+def test_zero_trees_rejected():
+    x, y = _blobs()
+    with pytest.raises(ValueError):
+        fit_rf(x, y, n_estimators=0)
+
+
 def test_bad_labels_rejected():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError):
@@ -67,10 +73,151 @@ def test_vote_tie_goes_positive():
 
 
 def test_leaf_tie_goes_positive():
-    tree = DecisionTree(max_depth=1, seed=0)
-    tree.n_features = 1
-    tree.root = {"leaf": (3, 3)}  # (neg, pos) exactly tied
+    # a depth-0 tree is one leaf; 3 '+' and 3 '-' make it exactly tied
+    tree = DecisionTree(max_depth=0).fit(
+        np.zeros((6, 1)), np.array([1, 1, 1, 0, 0, 0]), np.random.default_rng(0))
+    np.testing.assert_array_equal(tree.counts, [[3, 3]])
     assert tree.predict_pos_votes(np.zeros((1, 1)))[0] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    x, y = _blobs()
+    x_bad = x.copy()
+    x_bad[3, 1] = bad
+    with pytest.raises(NumericalError):
+        fit_rf(x_bad, y, n_estimators=3, seed=0)
+    forest = fit_rf(x, y, n_estimators=3, seed=0)
+    with pytest.raises(NumericalError):
+        predict(forest, np.full((1, x.shape[1]), bad))
+    with pytest.raises(NumericalError):
+        predict(forest, x_bad)
+
+
+# ---------------------------------------------------------------------------
+# reference: the pre-vectorisation split loop and nested-dict trees
+
+
+def _ref_best_split(x, y, rng):
+    n, d = x.shape
+    n_try = max(1, int(np.sqrt(d)))
+    feats = rng.choice(d, size=n_try, replace=False)
+    best = None
+    best_score = np.inf
+    for feat in feats:
+        vals = x[:, feat]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y[order]
+        pos_left = np.cumsum(sy)[:-1]
+        n_left = np.arange(1, n)
+        valid = sv[1:] != sv[:-1]
+        if not valid.any():
+            continue
+        pos_right = pos_left[-1] + sy[-1] - pos_left
+        n_right = n - n_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini = n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)
+        gini = np.where(valid, gini, np.inf)
+        i = int(np.argmin(gini))
+        if gini[i] < best_score:
+            best_score = gini[i]
+            best = (int(feat), float((sv[i] + sv[i + 1]) / 2.0))
+    return best
+
+
+def _ref_grow(x, y, depth, max_depth, rng):
+    n_pos = int(y.sum())
+    counts = (len(y) - n_pos, n_pos)
+    if depth >= max_depth or len(y) < 2 or n_pos in (0, len(y)):
+        return {"leaf": counts}
+    split = _ref_best_split(x, y, rng)
+    if split is None:
+        return {"leaf": counts}
+    feat, thr = split
+    mask = x[:, feat] <= thr
+    return {
+        "feature": feat,
+        "threshold": thr,
+        "left": _ref_grow(x[mask], y[mask], depth + 1, max_depth, rng),
+        "right": _ref_grow(x[~mask], y[~mask], depth + 1, max_depth, rng),
+    }
+
+
+def _ref_votes(root, x):
+    out = np.empty(x.shape[0], dtype=np.int64)
+    for i, row in enumerate(x):
+        node = root
+        while "leaf" not in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        neg, pos = node["leaf"]
+        out[i] = 1 if pos >= neg else 0
+    return out
+
+
+def _as_nested(tree, i=0):
+    if tree.left[i] == i:
+        assert tree.right[i] == i and tree.threshold[i] == np.inf
+        return {"leaf": tuple(int(c) for c in tree.counts[i])}
+    return {
+        "feature": int(tree.feature[i]),
+        "threshold": float(tree.threshold[i]),
+        "left": _as_nested(tree, tree.left[i]),
+        "right": _as_nested(tree, tree.right[i]),
+    }
+
+
+def _tree_depth(root):
+    if "leaf" in root:
+        return 0
+    return 1 + max(_tree_depth(root["left"]), _tree_depth(root["right"]))
+
+
+def _random_case(seed):
+    """Small-integer features (many ties); columns after the first may be
+    constant.  n = 2 and d = 1 come up among the shapes."""
+    rng = np.random.default_rng(seed)
+    n = (2, 3, 7, 40, 120)[seed % 5]
+    d = (1, 2, 5, 16)[seed % 4]
+    x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    x[:, 1:][:, rng.random(d - 1) < 0.3] = 1.5
+    y = rng.integers(0, 2, size=n)
+    y[0], y[-1] = 0, 1
+    return x, y, 1 + seed % 9
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tree_matches_reference(seed):
+    x, y, max_depth = _random_case(seed)
+    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = _ref_grow(x, y, 0, max_depth, rng_ref)
+    tree = DecisionTree(max_depth).fit(x, y, rng_new)
+    assert _as_nested(tree) == ref
+    assert tree.depth == _tree_depth(ref)
+    assert rng_new.random() == rng_ref.random()  # same draws, same order
+    x_test = np.random.default_rng(seed + 100).integers(-2, 9, size=(30, x.shape[1])) / 2.0
+    np.testing.assert_array_equal(tree.predict_pos_votes(x_test), _ref_votes(ref, x_test))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forest_matches_reference(seed):
+    x, y, max_depth = _random_case(seed + 3)
+    labels = np.where(y == 1, POS, NEG)
+    forest = fit_rf(x, labels, n_estimators=7, max_depth=max_depth, seed=seed)
+    refs = []
+    for ss in np.random.SeedSequence(seed).spawn(7):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, len(y), size=len(y))
+        refs.append(_ref_grow(x[idx], y[idx], 0, max_depth, rng))
+    assert [_as_nested(t) for t in forest.trees] == refs
+    x_test = np.random.default_rng(seed).integers(-2, 9, size=(25, x.shape[1])) / 2.0
+    ref_votes = np.sum([_ref_votes(r, x_test) for r in refs], axis=0)
+    expected = np.where(ref_votes * 2 >= len(refs), POS, NEG)
+    batch = predict(forest, x_test)
+    np.testing.assert_array_equal(batch, expected)
+    for i, row in enumerate(x_test):
+        assert predict(forest, row)[0] == batch[i]
 
 
 # ---------------------------------------------------------------------------
