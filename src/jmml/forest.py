@@ -267,7 +267,8 @@ def evaluate(y_true, y_pred, average="macro"):
 def grid_search(x, y, estimator_grid=(50, 100, 200), depth_grid=(4, 8, 16), folds=5, seed=0):
     """Best (n_estimators, max_depth) by mean cross-validated macro F1.
 
-    Ties break to fewer trees, then shallower depth.
+    Ties break to fewer trees, then shallower depth.  Raises
+    ``SingleClassError`` when no fold's training part holds both classes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y)
@@ -290,4 +291,6 @@ def grid_search(x, y, estimator_grid=(50, 100, 200), depth_grid=(4, 8, 16), fold
             if mean_f1 > best_f1 + 1e-12:
                 best_f1 = mean_f1
                 best = (n_est, depth)
+    if best is None:
+        raise SingleClassError("forest grid search: no fold's training part holds both classes")
     return best

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyClassError, ShapeError
 from .losses import loss_cosine_kld
-from .net import Adam, DenseLayer, DenseNet, Param, tied_copy, zero_grads
+from .net import Adam, DenseLayer, DenseNet, Param, tied_copy, unique_params, zero_grads
 from .serialize import (
     ParamCodec,
     decode_layer,
@@ -63,12 +63,11 @@ class EmotionBlock:
         return self.ind_branch.input_dim
 
     def private_params(self):
-        shared = self.shared_params()
-        params = []
-        for net in (self.ind_branch, self.sim_branch):
-            for p in net.params():
-                if not any(p is q for q in shared):
-                    params.append(p)
+        shared = {id(p) for p in self.shared_params()}
+        params = [
+            p for net in (self.ind_branch, self.sim_branch) for p in net.params()
+            if id(p) not in shared
+        ]
         params.extend([self.fuse.w, self.fuse.b])
         return params
 
@@ -266,12 +265,9 @@ def _restore(model, state):
 
 
 def _all_params(model):
-    seen = []
-    for block in model.blocks:
-        for p in block.private_params() + block.shared_params():
-            if not any(p is q for q in seen):
-                seen.append(p)
-    return seen
+    return unique_params(
+        p for block in model.blocks for p in block.private_params() + block.shared_params()
+    )
 
 
 def embed(model, x):

@@ -1,25 +1,26 @@
-"""Multiblock partial least squares with NIPALS extraction.
+"""Multiblock partial least squares.
 
-Fits C input blocks against a multivariate target by iteratively pulling
-latent variables (LVs) that maximize covariance with the target.  Each LV
-yields unit-norm stacked weights, block importances (squared block-weight
-norms), a super score combining the block scores, target loadings, and a
-deflation of every block against the super score.  Blocks and target are
-centered (not scaled); offsets live in the model.
+Fits C input blocks against a multivariate target by pulling latent
+variables (LVs) one at a time, each maximizing covariance with the target.
+An LV's unit-norm stacked weights are the dominant left singular vector of
+X^T Y on the deflated blocks, which equals the multiblock NIPALS weight
+(Westerhuis, Kourti & MacGregor 1998); the sign is the one NIPALS converges
+to from its usual start.  Each LV also yields block importances (squared
+block-weight norms), a super score combining the block scores, target
+loadings, and a deflation of every block against the super score.  Blocks
+and target are centered (not scaled); offsets live in the model.  NaN or
+inf in the blocks or the target raises ``NumericalError``.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-
-INNER_TOL = 1e-10
-INNER_MAX_ITER = 500
+from .errors import NumericalError, ShapeError
+from .serialize import ParamCodec, load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -43,6 +44,12 @@ class MbplsModel:
         return len(self.block_dims)
 
 
+def _finite(a, stage, what):
+    if not np.isfinite(a).all():
+        raise NumericalError(f"mbpls {stage}: NaN or inf in the {what}")
+    return a
+
+
 def _stack_blocks(blocks):
     mats = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in blocks]
     n = mats[0].shape[0]
@@ -59,8 +66,8 @@ def fit(blocks, target, n_components):
     with the same sample count.  If an LV cannot be extracted (rank
     exhausted), the component count is reduced with a warning.
     """
-    mats = _stack_blocks(blocks)
-    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    mats = [_finite(m, "fit", "blocks") for m in _stack_blocks(blocks)]
+    y = _finite(np.atleast_2d(np.asarray(target, dtype=np.float64)), "fit", "target")
     n = y.shape[0]
     if mats[0].shape[0] != n:
         raise ShapeError("target sample count does not match blocks")
@@ -151,35 +158,25 @@ def fit(blocks, target, n_components):
 
 
 def _dominant_weight(x, y):
-    """Unit-norm dominant left singular vector of X^T Y via the NIPALS
-    power iteration, with a direct SVD fallback when it stalls."""
+    """Unit-norm dominant left singular vector of X^T Y.
+
+    With the thin QR X^T = Q R it is Q times the dominant left singular
+    vector of R Y, so the SVD runs on at most min(n, p) rows.  The sign
+    points w along X^T y_j for the highest-variance target column j, the
+    direction the NIPALS power iteration starts from.
+    """
     col_var = y.var(axis=0)
     if not np.any(col_var > 0.0) or not np.any(x.var(axis=0) > 1e-14):
         return None, False
-    u = y[:, int(np.argmax(col_var))].copy()
-    w = None
-    for _ in range(INNER_MAX_ITER):
-        w_new = x.T @ u
-        nrm = np.linalg.norm(w_new)
-        if nrm <= 1e-14:
-            return None, False
-        w_new /= nrm
-        t = x @ w_new
-        tt = t @ t
-        if tt <= 1e-14:
-            return None, False
-        v = y.T @ t / tt
-        u_new = y @ v
-        if w is not None and np.linalg.norm(w_new - w) < INNER_TOL:
-            return w_new, True
-        w = w_new
-        u = u_new
-    # stalled: take the exact dominant singular vector
-    cov = x.T @ y
-    u_svd, s, _ = np.linalg.svd(cov, full_matrices=False)
+    q, r = np.linalg.qr(x.T)
+    ry = r @ y
+    u, s, _ = np.linalg.svd(ry, full_matrices=False)
     if s[0] <= 1e-14:
         return None, False
-    return u_svd[:, 0], True
+    u0 = u[:, 0]
+    if u0 @ ry[:, int(np.argmax(col_var))] < 0.0:
+        u0 = -u0
+    return q @ u0, True
 
 
 def predict(model, blocks):
@@ -188,7 +185,7 @@ def predict(model, blocks):
     mats = _stack_blocks(blocks)
     if [m.shape[1] for m in mats] != model.block_dims:
         raise ShapeError(f"block dims {[m.shape[1] for m in mats]} != {model.block_dims}")
-    xc = np.hstack([m - mu for m, mu in zip(mats, model.x_means)])
+    xc = _finite(np.hstack([m - mu for m, mu in zip(mats, model.x_means)]), "predict", "blocks")
     return xc @ model.beta + model.y_mean
 
 
@@ -200,31 +197,18 @@ def explained_target_variance(model, blocks, target):
 
 
 def save_mbpls(model, path):
-    doc = {"format": "jmml-mbpls", "version": 1}
-    for key, val in vars(model).items():
-        doc[key] = val.tolist() if isinstance(val, np.ndarray) else (
-            [v.tolist() for v in val] if key == "x_means" else val
-        )
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    """Write ``model`` as a ``"mbpls"`` checkpoint (bit-exact round trip)."""
+    body = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
+    body["x_means"] = [m.tolist() for m in model.x_means]
+    save_checkpoint(path, "mbpls", body, ParamCodec())
 
 
 def load_mbpls(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.pop("format", None) != "jmml-mbpls" or doc.pop("version", None) != 1:
-        raise ValueError(f"{path} is not a supported MBPLS model file")
-    arrays = {
-        k: np.array(v, dtype=np.float64)
-        for k, v in doc.items()
-        if k not in ("n_components", "block_dims", "x_means", "residual_norm")
-    }
+    _, body, _ = load_checkpoint(path, expected_kind="mbpls")
+    scalars = ("n_components", "block_dims", "residual_norm")
     return MbplsModel(
-        n_components=doc["n_components"],
-        block_dims=list(doc["block_dims"]),
-        x_means=[np.array(v, dtype=np.float64) for v in doc["x_means"]],
-        residual_norm=doc["residual_norm"],
-        **arrays,
+        x_means=[np.array(m, dtype=np.float64) for m in body.pop("x_means")],
+        **{k: v if k in scalars else np.array(v, dtype=np.float64) for k, v in body.items()},
     )
 
 

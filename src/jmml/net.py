@@ -31,6 +31,11 @@ class Param:
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
 
 
+def unique_params(params):
+    """``params`` with repeats of the same object dropped, first-seen order."""
+    return list({id(p): p for p in params}.values())
+
+
 def glorot_uniform(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -119,12 +124,7 @@ class DenseNet:
         return self.layers[-1].out_dim
 
     def params(self):
-        seen = []
-        for layer in self.layers:
-            for p in (layer.w, layer.b):
-                if not any(p is q for q in seen):
-                    seen.append(p)
-        return seen
+        return unique_params(p for layer in self.layers for p in (layer.w, layer.b))
 
     def forward(self, x):
         """Return the list of activations per layer (input first)."""

@@ -1,4 +1,4 @@
-"""Versioned JSON checkpoints for dense-net models.
+"""Versioned JSON checkpoints for dense-net and MBPLS models.
 
 Parameters are stored once in a flat registry (row-major float64 lists);
 layers reference registry indices, so weight tying survives a round trip

@@ -274,3 +274,9 @@ def test_grid_search_tie_prefers_smaller():
     x, y = _blobs(n=40, seed=5, sep=50.0)
     n_est, depth = grid_search(x, y, estimator_grid=(5, 20), depth_grid=(2, 8), folds=4, seed=0)
     assert (n_est, depth) == (5, 2)
+
+
+def test_grid_search_without_a_two_class_fold_raises():
+    # two samples in two folds: every fold trains on one class only
+    with pytest.raises(SingleClassError):
+        grid_search(np.arange(2.0)[:, None], np.array([POS, NEG]), (2,), (2,), folds=2)

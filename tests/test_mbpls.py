@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from jmml.errors import ShapeError
+from jmml.errors import NumericalError, ShapeError
+from jmml.jecl import build_jecl, save_jecl
 from jmml.mbpls import (
     explained_target_variance,
     fit,
@@ -17,12 +18,13 @@ from jmml.mbpls import (
 )
 
 
-def classical_pls2(x, y, n_components, max_iter=2000, tol=1e-12):
+def classical_pls2(x, y, n_components, max_iter=2000, tol=1e-12, return_weights=False):
     """Reference single-block PLS2 (NIPALS, unit-norm weights, no scaling).
 
     Written from the textbook algorithm, independent of the library code:
     w from the dominant direction of X'Y, t = Xw, p = X't/t't, q = Y't/t't,
-    deflate both, regression via the rotation W(P'W)^{-1}Q'.
+    deflate both, regression via the rotation W(P'W)^{-1}Q'.  Returns
+    (beta, T), plus W with ``return_weights`` (criterion 3 unpacks two).
     """
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
@@ -52,6 +54,8 @@ def classical_pls2(x, y, n_components, max_iter=2000, tol=1e-12):
     p_mat = np.column_stack(ps)
     q_mat = np.column_stack(qs)
     beta = w_mat @ np.linalg.inv(p_mat.T @ w_mat) @ q_mat.T
+    if return_weights:
+        return beta, np.column_stack(ts), w_mat
     return beta, np.column_stack(ts)
 
 
@@ -64,16 +68,17 @@ def _random_problem(seed, n=40, p=7, q=3, rank=4):
 
 
 def test_single_block_matches_classical_oracle():
-    for seed in range(20):
-        x, y = _random_problem(seed)
+    # tall (n > p) and wide (n < p) blocks
+    shapes = [(seed, 40, 7) for seed in range(20)] + [(seed, 12, 30) for seed in range(20, 30)]
+    for seed, n, p in shapes:
+        x, y = _random_problem(seed, n=n, p=p)
         k = 5
         model = fit([x], y, k)
-        beta_ref, t_ref = classical_pls2(x, y, k)
+        beta_ref, t_ref, w_ref = classical_pls2(x, y, k, return_weights=True)
         np.testing.assert_allclose(model.beta, beta_ref, atol=1e-8)
-        # scores agree up to per-component sign
-        for j in range(k):
-            s = np.sign(model.super_scores[:, j] @ t_ref[:, j]) or 1.0
-            np.testing.assert_allclose(model.super_scores[:, j], s * t_ref[:, j], atol=1e-7)
+        # weights and scores carry the sign NIPALS reaches from its start
+        np.testing.assert_allclose(model.weights, w_ref, atol=1e-8)
+        np.testing.assert_allclose(model.super_scores, t_ref, atol=1e-7)
 
 
 def test_single_block_predictions_match_oracle():
@@ -166,6 +171,24 @@ def test_shape_errors():
         fit([x], y, 100)
 
 
+def test_non_finite_input_raises():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((15, 4))
+    y = rng.standard_normal((15, 2))
+    model = fit([x], y, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        x_bad = x.copy()
+        x_bad[3, 1] = bad
+        y_bad = y.copy()
+        y_bad[0, 0] = bad
+        with pytest.raises(NumericalError):
+            fit([x, x_bad], y, 2)
+        with pytest.raises(NumericalError):
+            fit([x], y_bad, 2)
+        with pytest.raises(NumericalError):
+            predict(model, [x_bad])
+
+
 def test_explained_variance_reasonable():
     x, y = _random_problem(9, rank=3)
     model = fit([x], y, 4)
@@ -185,6 +208,13 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.importance, model.importance)
     assert loaded.block_dims == model.block_dims
     np.testing.assert_array_equal(predict(loaded, blocks), predict(model, blocks))
+
+
+def test_load_rejects_other_checkpoint_kinds(tmp_path):
+    path = tmp_path / "jecl.json"
+    save_jecl(build_jecl(input_dim=4, num_classes=2), path)
+    with pytest.raises(ValueError):
+        load_mbpls(path)
 
 
 def test_tune_lv_matches_manual_cv():

@@ -75,6 +75,10 @@ def test_params_deduplicates_tied_layers():
     shared = DenseLayer.create(4, 4, "relu", rng)
     net = DenseNet([shared, tied_copy(shared)])
     assert len(net.params()) == 2  # one w, one b
+    # first-seen order survives the dedup
+    other = DenseLayer.create(4, 4, "relu", rng)
+    net = DenseNet([other, shared, tied_copy(other), tied_copy(shared)])
+    assert [id(p) for p in net.params()] == [id(p) for p in (other.w, other.b, shared.w, shared.b)]
 
 
 def test_adam_decreases_quadratic():
