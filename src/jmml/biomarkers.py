@@ -5,9 +5,16 @@ Hurst exponent) and spectral features (band power intensity, relative
 intensity ratio, spectral entropy) assembled into a fixed-order trial
 feature vector.
 
+Every feature function takes one signal or a (channels, samples) matrix and
+reduces along the last axis: a value per signal, a (channels,) array per
+matrix, each row equal bit for bit to that channel alone.  A degenerate row
+raises :class:`DegenerateSignal` naming the lowest-index bad channel (no
+channel for a single signal).
+
 Feature ordering contract
 -------------------------
-``extract_trial`` emits features channel-major: all features for channel 0,
+``channel_features`` of a trial matrix is (channels, dim_per_channel), so
+``extract_trial``, its ravel, is channel-major: all features for channel 0,
 then channel 1, etc.  Within a channel the order is:
 
 1. selected temporal features, in the order of ``TEMPORAL_FEATURES``;
@@ -23,6 +30,7 @@ trial yields 32 * (4 + 4 + 4 + 1) = 416 features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -169,27 +177,25 @@ def hjorth(signal):
     convention (no curvature information, avoids a 0/0).
     """
     x = _as_signal(signal, min_len=3)
-    var_x = np.var(x)
-    if var_x == 0.0:
-        raise DegenerateSignal("constant signal has no Hjorth parameters")
+    var_x = np.var(x, axis=-1)
+    _raise_degenerate(var_x == 0.0, "constant signal has no Hjorth parameters")
     dx = np.diff(x)
-    var_dx = np.var(dx)
+    var_dx = np.var(dx, axis=-1)
     mobility = np.sqrt(var_dx / var_x)
-    if var_dx == 0.0:
-        return float(mobility), 0.0
-    ddx = np.diff(dx)
-    mobility_dx = np.sqrt(np.var(ddx) / var_dx)
-    return float(mobility), float(mobility_dx / mobility)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mobility_dx = np.sqrt(np.var(np.diff(dx), axis=-1) / var_dx)
+        complexity = np.where(var_dx == 0.0, 0.0, mobility_dx / mobility)
+    return mobility, complexity[()]
 
 
 def petrosian_fd(signal):
     """Petrosian fractal dimension from sign changes of the first difference."""
     x = _as_signal(signal, min_len=2)
     dx = np.diff(x)
-    n_delta = int(np.sum(dx[:-1] * dx[1:] < 0))
-    n = x.size
+    n_delta = np.sum(dx[..., :-1] * dx[..., 1:] < 0, axis=-1)
+    n = x.shape[-1]
     log_n = np.log10(n)
-    return float(log_n / (log_n + np.log10(n / (n + 0.4 * n_delta))))
+    return log_n / (log_n + np.log10(n / (n + 0.4 * n_delta)))
 
 
 def higuchi_fd(signal, k_max=8):
@@ -201,35 +207,29 @@ def higuchi_fd(signal, k_max=8):
     x = _as_signal(signal, min_len=2 * k_max)
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    n = x.size
-    log_lk = []
-    log_inv_k = []
+    n = x.shape[-1]
+    lk = []
     for k in range(1, k_max + 1):
         lengths = []
         for m in range(k):
-            idx = np.arange(m, n, k)
-            if idx.size < 2:
-                continue
-            dist = np.sum(np.abs(np.diff(x[idx])))
-            norm = (n - 1) / ((idx.size - 1) * k)
-            lengths.append(dist * norm / k)
-        lk = np.mean(lengths)
-        if lk <= 0.0:
-            raise DegenerateSignal("constant signal has zero curve length")
-        log_lk.append(np.log(lk))
-        log_inv_k.append(np.log(1.0 / k))
-    slope, _ = np.polyfit(log_inv_k, log_lk, 1)
-    return float(slope)
+            sub = x[..., m::k]
+            norm = (n - 1) / ((sub.shape[-1] - 1) * k)
+            lengths.append(np.sum(np.abs(np.diff(sub)), axis=-1) * norm / k)
+        lk.append(np.mean(np.stack(lengths, axis=-1), axis=-1))
+    lk = np.stack(lk, axis=-1)
+    _raise_degenerate((lk <= 0.0).any(axis=-1), "constant signal has zero curve length")
+    return _loglog_slope(np.log(1.0 / np.arange(1, k_max + 1)), np.log(lk), "HFD")
 
 
 def _box_sizes(n):
-    # powers of 2 from 4 up to n // 4
-    sizes = []
-    size = 4
-    while size <= n // 4:
-        sizes.append(size)
-        size *= 2
-    return sizes
+    """Powers of 2 from 4 up to n // 4."""
+    return [2**e for e in range(2, (n // 4).bit_length())]
+
+
+def _boxes(x, size):
+    """The last axis cut into whole boxes of ``size``: (..., n_boxes, size)."""
+    n_boxes = x.shape[-1] // size
+    return x[..., : n_boxes * size].reshape(*x.shape[:-1], n_boxes, size)
 
 
 def dfa(signal):
@@ -238,141 +238,131 @@ def dfa(signal):
     Box sizes are powers of 2 from 4 to N/4; linear detrending per box.
     """
     x = _as_signal(signal, min_len=64)
-    if np.var(x) == 0.0:
-        raise DegenerateSignal("constant signal has no fluctuation")
-    profile = np.cumsum(x - np.mean(x))
-    log_n, log_f = [], []
-    for size in _box_sizes(x.size):
-        n_boxes = x.size // size
-        segs = profile[: n_boxes * size].reshape(n_boxes, size)
-        t = np.arange(size, dtype=np.float64)
-        # per-box linear fit via least squares on the shared design
-        design = np.vstack([t, np.ones_like(t)]).T
-        coef, *_ = np.linalg.lstsq(design, segs.T, rcond=None)
-        resid = segs.T - design @ coef
-        f = np.sqrt(np.mean(resid**2))
-        if f > 0.0:
-            log_n.append(np.log(size))
-            log_f.append(np.log(f))
-    if len(log_n) < 2:
-        raise DegenerateSignal("not enough non-degenerate box sizes for DFA")
-    slope, _ = np.polyfit(log_n, log_f, 1)
-    return float(slope)
+    _raise_degenerate(np.var(x, axis=-1) == 0.0, "constant signal has no fluctuation")
+    profile = np.cumsum(x - np.mean(x, axis=-1, keepdims=True), axis=-1)
+    sizes = _box_sizes(x.shape[-1])
+    f = []
+    for size in sizes:
+        segs = _boxes(profile, size)
+        # per-box least-squares line: intercept at the box mean, slope <t, seg> / <t, t>
+        t = np.arange(size) - (size - 1) / 2.0
+        trend = segs.mean(axis=-1, keepdims=True) + (segs @ t / (t @ t))[..., None] * t
+        f.append(np.sqrt(np.mean((segs - trend) ** 2, axis=(-2, -1))))
+    f = np.stack(f, axis=-1)
+    return _loglog_slope(np.log(sizes), np.log(np.where(f > 0.0, f, 1.0)), "DFA", keep=f > 0.0)
 
 
 def hurst(signal):
     """Rescaled-range Hurst exponent over the DFA box schedule."""
     x = _as_signal(signal, min_len=64)
-    if np.var(x) == 0.0:
-        raise DegenerateSignal("constant signal has no Hurst exponent")
-    log_n, log_rs = [], []
-    for size in _box_sizes(x.size):
-        n_boxes = x.size // size
-        segs = x[: n_boxes * size].reshape(n_boxes, size)
-        means = segs.mean(axis=1, keepdims=True)
-        z = np.cumsum(segs - means, axis=1)
-        r = z.max(axis=1) - z.min(axis=1)
-        s = segs.std(axis=1)
+    _raise_degenerate(np.var(x, axis=-1) == 0.0, "constant signal has no Hurst exponent")
+    sizes = _box_sizes(x.shape[-1])
+    rs = []
+    for size in sizes:
+        segs = _boxes(x, size)
+        z = np.cumsum(segs - segs.mean(axis=-1, keepdims=True), axis=-1)
+        r = z.max(axis=-1) - z.min(axis=-1)
+        s = segs.std(axis=-1)
         ok = s > 0.0
-        if not ok.any():
-            continue
-        rs = np.mean(r[ok] / s[ok])
-        if rs > 0.0:
-            log_n.append(np.log(size))
-            log_rs.append(np.log(rs))
-    if len(log_n) < 2:
-        raise DegenerateSignal("not enough non-degenerate box sizes for Hurst")
-    slope, _ = np.polyfit(log_n, log_rs, 1)
-    return float(slope)
+        # mean R/S over the boxes with spread; 0 (dropped below) when none has
+        ratios = np.where(ok, r, 0.0) / np.where(ok, s, 1.0)
+        rs.append(np.sum(ratios, axis=-1) / np.maximum(ok.sum(axis=-1), 1))
+    rs = np.stack(rs, axis=-1)
+    return _loglog_slope(np.log(sizes), np.log(np.where(rs > 0.0, rs, 1.0)), "Hurst", keep=rs > 0.0)
+
+
+def _loglog_slope(log_x, log_y, name, keep=None):
+    """Least-squares slope of each row of ``log_y`` against ``log_x``.
+
+    ``keep`` masks the points each row fits (all by default); a row left
+    with fewer than two raises DegenerateSignal.  One ``np.polyfit`` per
+    row: a single 2-D fit rounds differently.
+    """
+    if keep is None:
+        keep = np.ones_like(log_y, dtype=bool)
+    _raise_degenerate(keep.sum(axis=-1) < 2, f"not enough non-degenerate scales for {name}")
+    rows = zip(np.reshape(log_y, (-1, log_x.size)), np.reshape(keep, (-1, log_x.size)))
+    slopes = [np.polyfit(log_x[k], y[k], 1)[0] for y, k in rows]
+    return np.reshape(slopes, log_y.shape[:-1])[()]
 
 
 # ---------------------------------------------------------------------------
 # spectral features
 
 
-def band_powers(signal, sample_rate, bands=DEFAULT_BANDS, window=None):
+def band_powers(signal, sample_rate, bands=DEFAULT_BANDS):
     """Power spectral intensity and relative intensity ratio per band.
 
     PSI sums magnitude-spectrum bins inside each band; RIR normalizes PSI
     to sum to one.  The spectrum is the plain DFT magnitude of the raw
-    signal; pass ``window='hann'`` to taper first.
+    signal.  Both come back with the bands on the last axis.
     """
     x = _as_signal(signal, min_len=2)
     bands.validate_against(sample_rate)
-    if window == "hann":
-        x = x * np.hanning(x.size)
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
     spectrum = np.abs(np.fft.rfft(x))
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / sample_rate)
-    psi = np.array(
-        [spectrum[(freqs >= low) & (freqs < high)].sum() for _name, low, high in bands.bands]
-    )
-    total = psi.sum()
-    if total == 0.0:
-        raise DegenerateSignal("no spectral mass inside the requested bands")
-    return psi, psi / total
+    freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / sample_rate)
+    # the frequencies ascend, so a band's bins [low, high) are one slice
+    edges = np.searchsorted(freqs, [(low, high) for _name, low, high in bands.bands])
+    psi = np.stack([spectrum[..., lo:hi].sum(axis=-1) for lo, hi in edges], axis=-1)
+    total = psi.sum(axis=-1)
+    _raise_degenerate(total == 0.0, "no spectral mass inside the requested bands")
+    return psi, psi / total[..., None]
 
 
 def spectral_entropy(rir):
-    """Normalized Shannon entropy of a band-probability vector, in [0, 1]."""
+    """Normalized Shannon entropy of band probabilities on the last axis, in [0, 1]."""
     p = np.asarray(rir, dtype=np.float64)
-    nonzero = p[p > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)) / np.log(p.size))
+    p_log_p = p * np.log(np.where(p > 0.0, p, 1.0))
+    return -np.sum(p_log_p, axis=-1) / np.log(p.shape[-1])
 
 
 # ---------------------------------------------------------------------------
 # trial assembly
 
 
-def channel_features(x, sample_rate, selection, k_max=8, window=None):
-    """Feature vector for one channel, in the documented order."""
-    feats = []
-    hjorth_pair = None
-    for name in TEMPORAL_FEATURES:
-        if name not in selection.temporal:
-            continue
-        if name in ("hjorth_mobility", "hjorth_complexity"):
-            if hjorth_pair is None:
-                hjorth_pair = hjorth(x)
-            feats.append(hjorth_pair[0 if name == "hjorth_mobility" else 1])
-        elif name == "hfd":
-            feats.append(higuchi_fd(x, k_max=k_max))
-        elif name == "pfd":
-            feats.append(petrosian_fd(x))
-        elif name == "dfa":
-            feats.append(dfa(x))
-        elif name == "hurst":
-            feats.append(hurst(x))
+def channel_features(x, sample_rate, selection, k_max=8):
+    """Features of one signal, in the documented order: (dim_per_channel,).
+
+    For a (channels, samples) matrix, one such row per channel.
+    """
+    features = {"hfd": partial(higuchi_fd, k_max=k_max), "pfd": petrosian_fd, "dfa": dfa, "hurst": hurst}
+    pair = {}
+    if {"hjorth_mobility", "hjorth_complexity"} & set(selection.temporal):
+        pair = dict(zip(("hjorth_mobility", "hjorth_complexity"), hjorth(x)))
+    cols = [(pair[name] if name in pair else features[name](x))[..., None]
+            for name in TEMPORAL_FEATURES if name in selection.temporal]
     if selection.spectral:
-        psi, rir = band_powers(x, sample_rate, selection.bands, window=window)
+        psi, rir = band_powers(x, sample_rate, selection.bands)
         if "psi" in selection.spectral:
-            feats.extend(psi)
+            cols.append(psi)
         if "rir" in selection.spectral:
-            feats.extend(rir)
+            cols.append(rir)
         if "spectral_entropy" in selection.spectral:
-            feats.append(spectral_entropy(rir))
-    return np.array(feats, dtype=np.float64)
+            cols.append(spectral_entropy(rir)[..., None])
+    return np.concatenate(cols, axis=-1)
 
 
-def extract_trial(trial, selection=FeatureSelection(), k_max=8, window=None):
+def extract_trial(trial, selection=FeatureSelection(), k_max=8):
     """Extract the selected biomarkers for every channel of a trial.
 
     Returns a :class:`FeatureVector` whose length equals
     ``selection.output_dim(n_channels)``.  A degenerate channel raises
     :class:`DegenerateSignal` carrying the channel index.
     """
-    parts = []
-    for ch, x in enumerate(trial.channels):
-        try:
-            parts.append(channel_features(x, trial.sample_rate, selection, k_max=k_max, window=window))
-        except DegenerateSignal as err:
-            raise DegenerateSignal(str(err), channel=ch) from err
-    return FeatureVector(np.concatenate(parts), modality="eeg")
+    features = channel_features(trial.channels, trial.sample_rate, selection, k_max=k_max)
+    return FeatureVector(features.ravel(), modality="eeg")
 
 
 def _as_signal(signal, min_len):
-    x = np.asarray(signal, dtype=np.float64).ravel()
-    if x.size < min_len:
-        raise ValueError(f"signal too short: need at least {min_len} samples, got {x.size}")
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"expected a signal or a (channels, samples) matrix, got shape {x.shape}")
+    if x.shape[-1] < min_len:
+        raise ValueError(f"signal too short: need at least {min_len} samples, got {x.shape[-1]}")
     return x
+
+
+def _raise_degenerate(bad, message):
+    """Raise DegenerateSignal if any row is ``bad``, naming the lowest one."""
+    if np.any(bad):
+        raise DegenerateSignal(message, channel=int(np.argmax(bad)) if np.ndim(bad) else None)

@@ -95,7 +95,7 @@ def cmd_train_jmml(args):
     ds1 = _read_features(args.features1, "eeg", args.dimension)
     ds2 = _read_features(args.features2, "speech", args.dimension)
     scalers = [edcc.MinMaxScaler.fit(ds.x) for ds in (ds1, ds2)]
-    x1, x2, _labels = pair_by_label(ds1, ds2, seed=args.seed)
+    x1, x2, labels = pair_by_label(ds1, ds2, seed=args.seed)
     model = edcc.build_edcc(
         (ds1.dim, ds2.dim), setup=config.edcc.setup, hidden=config.edcc.hidden,
         projection_dim=config.edcc.projection_dim, seed=args.seed,
@@ -105,7 +105,7 @@ def cmd_train_jmml(args):
         model, scalers[0].transform(x1), scalers[1].transform(x2),
         epochs=config.edcc.epochs, batch_size=config.edcc.batch_size, lr=config.edcc.lr,
         cca_w=config.edcc.cca_w, srec_w=config.edcc.srec_w, xrec_w=config.edcc.xrec_w,
-        reg=config.edcc.reg, seed=args.seed,
+        reg=config.edcc.reg, labels=labels, seed=args.seed,
     )
     edcc.save_edcc(model, args.out)
     print(f"trained {len(trace)} epochs; final total loss {trace[-1].total:.4f}; saved {args.out}")

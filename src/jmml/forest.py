@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingleClassError
-
-POS, NEG = "+", "-"
+from .pipeline import NEG, POS, kfold
 
 
 @dataclass
@@ -272,17 +271,13 @@ def grid_search(x, y, estimator_grid=(50, 100, 200), depth_grid=(4, 8, 16), fold
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(x.shape[0])
-    fold_ids = np.array_split(order, folds)
+    splits = kfold(x.shape[0], folds, np.random.default_rng(seed))
     best = None
     best_f1 = -np.inf
     for n_est in sorted(estimator_grid):
         for depth in sorted(depth_grid):
             scores = []
-            for f in range(folds):
-                test_idx = fold_ids[f]
-                train_idx = np.concatenate([fold_ids[g] for g in range(folds) if g != f])
+            for train_idx, test_idx in splits:
                 if len(np.unique(y[train_idx])) < 2:
                     continue
                 forest = fit_rf(x[train_idx], y[train_idx], n_est, depth, seed=seed)

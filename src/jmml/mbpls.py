@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
+from .pipeline import kfold
 from .serialize import ParamCodec, load_checkpoint, save_checkpoint
 
 
@@ -226,16 +227,12 @@ def tune_lv(blocks, target, lv_grid=None, folds=5, seed=0):
     p_total = sum(m.shape[1] for m in mats)
     rank_cap = min(n - (n // folds + 1) - 1, p_total)
     grid = sorted({min(k, rank_cap) for k in lv_grid if min(k, rank_cap) >= 1})
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fold_ids = np.array_split(order, folds)
+    splits = kfold(n, folds, np.random.default_rng(seed))
 
     best_k, best_err = None, np.inf
     for k in grid:
         errs = []
-        for f in range(folds):
-            test_idx = fold_ids[f]
-            train_idx = np.concatenate([fold_ids[g] for g in range(folds) if g != f])
+        for train_idx, test_idx in splits:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 model = fit([m[train_idx] for m in mats], y[train_idx], k)

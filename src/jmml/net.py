@@ -85,12 +85,6 @@ class DenseLayer:
         return grad_out @ self.w.value.T
 
 
-def shared_layer(in_dim, out_dim, activation, rng, name="shared"):
-    """Create a layer whose (weight, bias) pair can be installed in several
-    networks.  Re-wrap with :func:`tied_copy` to install elsewhere."""
-    return DenseLayer.create(in_dim, out_dim, activation, rng, name=name)
-
-
 def tied_copy(layer: DenseLayer):
     """A layer sharing the exact Param objects of ``layer``."""
     return DenseLayer(layer.w, layer.b, layer.activation)
@@ -153,7 +147,7 @@ class DenseNet:
 
 
 class Adam:
-    """Adam optimizer with per-Param state and a step instrumentation count."""
+    """Adam optimizer with per-Param state (moments and step count)."""
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -161,7 +155,6 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._state = {}
-        self.step_counts = {}
 
     def state_for(self, param):
         key = id(param)
@@ -185,10 +178,10 @@ class Adam:
             m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
             v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            self.step_counts[id(p)] = st["t"]
 
     def steps_taken(self, param):
-        return self.step_counts.get(id(param), 0)
+        state = self._state.get(id(param))
+        return state["t"] if state else 0
 
 
 def zero_grads(params):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LabelError, RangeError, SingleClassError
-from .forest import NEG, POS
+
+POS, NEG = "+", "-"
 
 RATING_THRESHOLD = 4.5
 
@@ -125,6 +126,16 @@ def mco_oversample(dataset, seed=0):
         return dataset
     idx_all = np.concatenate([np.arange(len(dataset))] + extra)
     return dataset.subset(idx_all)
+
+
+def kfold(n, folds, rng):
+    """``folds`` (train, test) index pairs over one ``rng.permutation(n)``.
+
+    The permutation is cut by ``np.array_split``; each fold's training part
+    is the other folds concatenated in order.
+    """
+    parts = np.array_split(rng.permutation(n), folds)
+    return [(np.concatenate(parts[:f] + parts[f + 1:]), test) for f, test in enumerate(parts)]
 
 
 def resample_to_size(dataset, n, seed=0):

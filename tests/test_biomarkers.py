@@ -125,6 +125,29 @@ def test_hurst_persistent_signal_above_half():
     assert hurst(np.cumsum(rng.standard_normal(8192))) > 0.8
 
 
+def _dfa_lstsq(x):
+    # DFA with each box detrended by np.linalg.lstsq, one signal at a time
+    profile = np.cumsum(x - np.mean(x))
+    log_n, log_f = [], []
+    size = 4
+    while size <= x.size // 4:
+        n_boxes = x.size // size
+        segs = profile[: n_boxes * size].reshape(n_boxes, size)
+        t = np.arange(size, dtype=np.float64)
+        design = np.vstack([t, np.ones_like(t)]).T
+        coef, *_ = np.linalg.lstsq(design, segs.T, rcond=None)
+        log_n.append(np.log(size))
+        log_f.append(np.log(np.sqrt(np.mean((segs.T - design @ coef) ** 2))))
+        size *= 2
+    return np.polyfit(log_n, log_f, 1)[0]
+
+
+def test_dfa_closed_form_detrend_matches_lstsq():
+    rng = np.random.default_rng(8)
+    for x in (rng.standard_normal(8192), np.cumsum(rng.standard_normal(3000)), rng.standard_normal(64)):
+        assert dfa(x) == pytest.approx(_dfa_lstsq(x), abs=1e-12)
+
+
 def test_dfa_constant_raises():
     with pytest.raises(DegenerateSignal):
         dfa(np.full(512, 3.0))
@@ -195,21 +218,67 @@ def test_extract_trial_matches_closed_form_dim():
 
 
 def test_extract_trial_channel_major_order():
-    trial = _noise_trial(n_channels=3)
+    # 32 x 7680 is a DEAP trial (60 s at 128 Hz): its bands hold 120-900
+    # bins each, enough for a change in summation order to show
     sel = FeatureSelection()
-    vec = extract_trial(trial, sel)
     per = sel.dim_per_channel()
-    for ch in range(3):
-        expected = channel_features(trial.channels[ch], trial.sample_rate, sel)
-        np.testing.assert_array_equal(vec.values[ch * per:(ch + 1) * per], expected)
+    for n_channels, n_samples in ((3, 512), (32, 7680)):
+        trial = _noise_trial(n_channels=n_channels, n_samples=n_samples)
+        vec = extract_trial(trial, sel)
+        for ch in range(n_channels):
+            expected = channel_features(trial.channels[ch], trial.sample_rate, sel)
+            np.testing.assert_array_equal(vec.values[ch * per:(ch + 1) * per], expected)
+
+
+def _mixed_channels():
+    rng = np.random.default_rng(21)
+    white = rng.standard_normal((3, 4096)) * np.array([[0.5], [3.0], [40.0]])
+    brown = np.cumsum(rng.standard_normal((2, 4096)), axis=1)
+    return np.vstack([white, brown])
+
+
+@pytest.mark.parametrize("feature", [
+    lambda x: np.stack(hjorth(x), axis=-1),
+    petrosian_fd,
+    higuchi_fd,
+    lambda x: higuchi_fd(x, k_max=5),
+    lambda x: np.concatenate(band_powers(x, 128.0), axis=-1),
+    lambda x: spectral_entropy(band_powers(x, 128.0)[1]),
+    dfa,
+    hurst,
+])
+def test_feature_on_matrix_equals_row_by_row(feature):
+    channels = _mixed_channels()
+    rows = np.array([feature(x) for x in channels])
+    np.testing.assert_array_equal(feature(channels), rows)
 
 
 def test_extract_trial_reports_degenerate_channel():
-    trial = _noise_trial(n_channels=3)
-    trial.channels[1] = 0.0
+    # with several, the lowest-index one
+    for constant in ({1: 0.0}, {3: 2.0, 1: 0.0}):
+        trial = _noise_trial(n_channels=5)
+        for ch, value in constant.items():
+            trial.channels[ch] = value
+        with pytest.raises(DegenerateSignal) as exc:
+            extract_trial(trial)
+        assert exc.value.channel == 1
+
+
+@pytest.mark.parametrize("feature", [hjorth, higuchi_fd, dfa, hurst, lambda x: band_powers(x, 128.0)])
+def test_feature_on_matrix_names_degenerate_channel(feature):
+    channels = _mixed_channels()
+    channels[[2, 4]] = 1.5
     with pytest.raises(DegenerateSignal) as exc:
-        extract_trial(trial)
-    assert exc.value.channel == 1
+        feature(channels)
+    assert exc.value.channel == 2
+    with pytest.raises(DegenerateSignal) as exc:
+        feature(channels[2])
+    assert exc.value.channel is None
+
+
+def test_feature_rejects_three_dimensional_input():
+    with pytest.raises(ShapeError):
+        hjorth(np.zeros((2, 3, 64)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from jmml import edcc
 from jmml.biomarkers import EegTrial
 from jmml.cli import main
+from jmml.config import load_config
 from jmml.io import read_feature_csv, write_feature_csv, write_trials
-from jmml.pipeline import SynthSpec, synth_bimodal
+from jmml.pipeline import SynthSpec, pair_by_label, synth_bimodal
 
 
 @pytest.fixture
@@ -74,6 +76,37 @@ def test_train_jmml_verb(tmp_path, synth_csvs, capsys):
         "--config", str(cfg), "--seed", "0", "--out", str(out),
     ])
     assert rc == 0 and out.exists()
+
+
+def test_train_jmml_repairs_within_labels(tmp_path, synth_csvs, capsys):
+    # The CSV corpora share only their labels, so train-jmml must hand the
+    # pairing labels to train_edcc, as run_experiment does, and re-pair
+    # within each label every epoch.
+    p1, p2 = synth_csvs
+    out = tmp_path / "edcc.json"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("edcc:\n  epochs: 3\n")
+    rc = main([
+        "train-jmml", "--features1", p1, "--features2", p2,
+        "--config", str(cfg), "--seed", "1", "--out", str(out),
+    ])
+    assert rc == 0
+
+    ec = load_config(str(cfg)).edcc
+    ds1, ds2 = read_feature_csv(p1, modality="eeg"), read_feature_csv(p2, modality="speech")
+    scalers = [edcc.MinMaxScaler.fit(ds.x) for ds in (ds1, ds2)]
+    x1, x2, labels = pair_by_label(ds1, ds2, seed=1)
+    direct = edcc.build_edcc((ds1.dim, ds2.dim), setup=ec.setup, hidden=ec.hidden,
+                             projection_dim=ec.projection_dim, seed=1)
+    edcc.train_edcc(
+        direct, scalers[0].transform(x1), scalers[1].transform(x2),
+        epochs=ec.epochs, batch_size=ec.batch_size, lr=ec.lr, cca_w=ec.cca_w,
+        srec_w=ec.srec_w, xrec_w=ec.xrec_w, reg=ec.reg, labels=labels, seed=1,
+    )
+    saved = edcc.load_edcc(out).params()
+    assert len(saved) == len(direct.params())
+    for a, b in zip(saved, direct.params()):
+        np.testing.assert_array_equal(a.value, b.value)
 
 
 def test_evaluate_verb(synth_csvs, capsys):

@@ -13,6 +13,7 @@ from jmml.pipeline import (
     SynthSpec,
     audit_no_leakage,
     binarize_rating,
+    kfold,
     mco_oversample,
     pair_by_label,
     relabel_categorical,
@@ -153,6 +154,17 @@ def test_pair_by_label_missing_class():
     b = _dataset(n_pos=10, n_neg=10)
     with pytest.raises(SingleClassError):
         pair_by_label(a, b)
+
+
+def test_kfold_partitions_one_permutation():
+    splits = kfold(23, 5, np.random.default_rng(4))
+    order = np.random.default_rng(4).permutation(23)
+    np.testing.assert_array_equal(np.concatenate([test for _train, test in splits]), order)
+    assert [test.size for _train, test in splits] == [5, 5, 5, 4, 4]
+    for f, (train, test) in enumerate(splits):
+        others = [t for g, (_tr, t) in enumerate(splits) if g != f]
+        np.testing.assert_array_equal(train, np.concatenate(others))
+        assert np.intersect1d(train, test).size == 0
 
 
 def test_audit_no_leakage():
