@@ -19,12 +19,12 @@ from jmml.pipeline import SynthSpec, pair_by_label, synth_bimodal
 
 ds1, ds2 = synth_bimodal(SynthSpec(n_per_class=200, dims=(32, 20), seed=2))
 scalers = [MinMaxScaler.fit(ds1.x), MinMaxScaler.fit(ds2.x)]
-x1, x2, _labels = pair_by_label(ds1, ds2, seed=2)
+x1, x2, labels = pair_by_label(ds1, ds2, seed=2)
 x1, x2 = scalers[0].transform(x1), scalers[1].transform(x2)
 
 model = build_edcc((32, 20), seed=2)
 print(f"correlation before training: {canonical_correlation(model, x1, x2):.3f}")
-trace = train_edcc(model, x1, x2, epochs=20, seed=2)
+trace = train_edcc(model, x1, x2, epochs=20, labels=labels, seed=2)
 print(f"correlation after  training: {canonical_correlation(model, x1, x2):.3f}")
 print(f"loss {trace[0].total:.3f} -> {trace[-1].total:.3f}")
 

@@ -26,10 +26,6 @@ from .pipeline import (
 )
 
 
-def _read_features(path, modality, dimension):
-    return io.read_feature_csv(path, modality=modality, dimension=dimension)
-
-
 def cmd_extract(args):
     reader = io.read_trials_csv if args.format == "csv" else io.read_trials
     trials, labels = reader(args.trials)
@@ -66,7 +62,7 @@ def cmd_synth(args):
 
 def cmd_train_jecl(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
-    ds = _read_features(args.features, args.modality, args.dimension)
+    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
     by_class = {1: ds.x[ds.y == "+"], 2: ds.x[ds.y == "-"]}
     model = jecl.build_jecl(
         ds.dim, 2, setup=config.jecl.setup, hidden=config.jecl.hidden,
@@ -82,7 +78,7 @@ def cmd_train_jecl(args):
 
 def cmd_fit_mbpls(args):
     model = jecl.load_jecl(args.jecl)
-    ds = _read_features(args.features, args.modality, args.dimension)
+    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
     blocks = jecl.embed_blocks(model, ds.x)
     k = min(args.components, ds.x.shape[0] - 1, model.num_classes * ds.dim)
     pls = mbpls.fit(blocks, ds.x, k)
@@ -92,8 +88,8 @@ def cmd_fit_mbpls(args):
 
 def cmd_train_jmml(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
-    ds1 = _read_features(args.features1, "eeg", args.dimension)
-    ds2 = _read_features(args.features2, "speech", args.dimension)
+    ds1 = io.read_feature_csv(args.features1, "eeg", args.dimension)
+    ds2 = io.read_feature_csv(args.features2, "speech", args.dimension)
     scalers = [edcc.MinMaxScaler.fit(ds.x) for ds in (ds1, ds2)]
     x1, x2, labels = pair_by_label(ds1, ds2, seed=args.seed)
     model = edcc.build_edcc(
@@ -112,7 +108,7 @@ def cmd_train_jmml(args):
 
 
 def cmd_evaluate(args):
-    ds = _read_features(args.features, args.modality, args.dimension)
+    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
     train, _val, test = stratified_split(ds, SplitSpec(seed=args.seed))
     train = mco_oversample(train, seed=args.seed + 1)
     if args.grid_search:

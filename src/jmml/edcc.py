@@ -25,15 +25,7 @@ from .errors import PairingError, RangeError, ShapeError, UnsupportedConfigurati
 from .jecl import latent_width
 from .losses import loss_bce, loss_cca
 from .net import Adam, DenseLayer, DenseNet, zero_grads
-from .serialize import (
-    ParamCodec,
-    decode_layer,
-    decode_net,
-    encode_layer,
-    encode_net,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .serialize import load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -172,7 +164,7 @@ def _recon_pass(model, x1, x2, srec_w, xrec_w, backward):
     xrec_total = 0.0
     for m, nets in enumerate(model.modalities):
         own, other = data[m], data[1 - m]
-        acts, _proj = _encode(nets, own)
+        acts = nets.encoder.forward(own)
         dec_acts, s_pred, x_pred = _decode(nets, acts[-1])
         s_rep = loss_bce(s_pred, own)
         x_rep = loss_bce(x_pred, other)
@@ -318,47 +310,8 @@ def canonical_correlation(model, x1, x2, reg=1e-4):
 
 
 def save_edcc(model, path):
-    codec = ParamCodec()
-    body = {
-        "input_dims": list(model.input_dims),
-        "projection_dim": model.projection_dim,
-        "trained": model.trained,
-        "modalities": [
-            {
-                "encoder": encode_net(nets.encoder, codec),
-                "projection": encode_layer(nets.projection, codec),
-                "decoder": encode_net(nets.decoder, codec),
-                "s_head": encode_layer(nets.s_head, codec),
-                "x_head": encode_layer(nets.x_head, codec),
-            }
-            for nets in model.modalities
-        ],
-        "scalers": [
-            None if s is None else {"mins": s.mins.tolist(), "ranges": s.ranges.tolist()}
-            for s in model.scalers
-        ],
-    }
-    save_checkpoint(path, "edcc-cae", body, codec)
+    save_checkpoint(path, "edcc-cae", model)
 
 
 def load_edcc(path):
-    _, body, params = load_checkpoint(path, expected_kind="edcc-cae")
-    mods = [
-        ModalityNets(
-            decode_net(e["encoder"], params),
-            decode_layer(e["projection"], params),
-            decode_net(e["decoder"], params),
-            decode_layer(e["s_head"], params),
-            decode_layer(e["x_head"], params),
-        )
-        for e in body["modalities"]
-    ]
-    scalers = [
-        None
-        if s is None
-        else MinMaxScaler(np.array(s["mins"], dtype=np.float64), np.array(s["ranges"], dtype=np.float64))
-        for s in body["scalers"]
-    ]
-    model = EdccCaeModel(mods, tuple(body["input_dims"]), body["projection_dim"], scalers)
-    model.trained = body["trained"]
-    return model
+    return load_checkpoint(path, "edcc-cae", (EdccCaeModel, ModalityNets, MinMaxScaler))

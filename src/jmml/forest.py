@@ -13,14 +13,12 @@ there.  The split search scores all sampled features of a node in one
 vectorised pass.  A fitted forest also holds its trees concatenated into
 one set of arrays; ``predict`` walks every (row, tree) pair through them
 together, one level per step, for as many steps as the deepest leaf.
-``RandomForest.to_json`` writes each tree's node arrays (leaf thresholds as
-``Infinity``).  Feature values must be finite: ``fit_rf`` and ``predict``
-raise ``NumericalError`` otherwise.
+Feature values must be finite: ``fit_rf`` and ``predict`` raise
+``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,16 +120,6 @@ class DecisionTree:
         return _walk(x, self.feature, self.threshold, self.left, self.right, self.counts,
                      np.zeros(1, dtype=np.intp), self.depth)[:, 0]
 
-    def to_dict(self):
-        return {
-            "max_depth": self.max_depth,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "counts": self.counts.tolist(),
-        }
-
 
 def _walk(x, feature, threshold, left, right, counts, roots, steps):
     """(n_rows, n_trees) 0/1 leaf votes, ties to the positive class.  Every
@@ -169,18 +157,6 @@ class RandomForest:
             np.concatenate([t.counts for t in self.trees]),
             roots,
             max(t.depth for t in self.trees),
-        )
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "n_estimators": self.n_estimators,
-                "max_depth": self.max_depth,
-                "seed": self.seed,
-                "n_features": self.n_features,
-                "trees": [t.to_dict() for t in self.trees],
-            },
-            sort_keys=True,
         )
 
 

@@ -24,16 +24,8 @@ import numpy as np
 
 from .errors import EmptyClassError, ShapeError
 from .losses import loss_cosine_kld
-from .net import Adam, DenseLayer, DenseNet, Param, tied_copy, unique_params, zero_grads
-from .serialize import (
-    ParamCodec,
-    decode_layer,
-    decode_net,
-    encode_layer,
-    encode_net,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .net import Adam, DenseLayer, DenseNet, tied_copy, unique_params, zero_grads
+from .serialize import load_checkpoint, save_checkpoint
 
 SETUPS = ("setup1", "setup2", "setup3")
 
@@ -293,35 +285,8 @@ def embed_blocks(model, x):
 
 
 def save_jecl(model, path):
-    codec = ParamCodec()
-    body = {
-        "setup": model.setup,
-        "kld_weight": model.kld_weight,
-        "trained": model.trained,
-        "blocks": [
-            {
-                "class_id": b.class_id,
-                "ind": encode_net(b.ind_branch, codec),
-                "sim": encode_net(b.sim_branch, codec),
-                "fuse": encode_layer(b.fuse, codec),
-                "centroid": None if b.centroid is None else b.centroid.tolist(),
-            }
-            for b in model.blocks
-        ],
-    }
-    save_checkpoint(path, "jecl", body, codec)
+    save_checkpoint(path, "jecl", model)
 
 
 def load_jecl(path):
-    _, body, params = load_checkpoint(path, expected_kind="jecl")
-    blocks = [
-        EmotionBlock(
-            e["class_id"],
-            decode_net(e["ind"], params),
-            decode_net(e["sim"], params),
-            decode_layer(e["fuse"], params),
-            None if e["centroid"] is None else np.array(e["centroid"], dtype=np.float64),
-        )
-        for e in body["blocks"]
-    ]
-    return JeclModel(blocks, setup=body["setup"], kld_weight=body["kld_weight"], trained=body["trained"])
+    return load_checkpoint(path, "jecl", (JeclModel, EmotionBlock))

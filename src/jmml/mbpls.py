@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .pipeline import kfold
-from .serialize import ParamCodec, load_checkpoint, save_checkpoint
+from .serialize import load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -35,7 +35,6 @@ class MbplsModel:
     loadings: np.ndarray     # stacked block loadings P, (p, K)
     target_loadings: np.ndarray  # V, (q, K)
     super_scores: np.ndarray     # T_s at train time, (n, K)
-    target_scores: np.ndarray    # U, (n, K)
     importance: np.ndarray       # (C, K), rows of i_jk summing to 1 per LV
     beta: np.ndarray             # (p, q) regression map on centered data
     residual_norm: float         # ||target - T_s V^T||_F at fit time
@@ -84,7 +83,7 @@ def fit(blocks, target, n_components):
     edges = np.cumsum([0] + dims)
 
     w_cols, w_eff_cols, p_cols, v_cols = [], [], [], []
-    t_cols, u_cols, imp_rows = [], [], []
+    t_cols, imp_rows = [], []
     x_def = np.hstack(xc)
     y_def = yc.copy()
     k_actual = 0
@@ -116,7 +115,6 @@ def fit(blocks, target, n_components):
             )
             break
         v = y_def.T @ t_super / tt
-        u = yc @ v
         p_vec = x_def.T @ t_super / tt
         x_def = x_def - np.outer(t_super, p_vec)
         y_def = y_def - np.outer(t_super, v)
@@ -126,7 +124,6 @@ def fit(blocks, target, n_components):
         p_cols.append(p_vec)
         v_cols.append(v)
         t_cols.append(t_super)
-        u_cols.append(u)
         imp_rows.append(imp / imp.sum())
         k_actual += 1
 
@@ -151,7 +148,6 @@ def fit(blocks, target, n_components):
         loadings=p_mat,
         target_loadings=v_mat,
         super_scores=t_mat,
-        target_scores=np.column_stack(u_cols),
         importance=np.column_stack(imp_rows),
         beta=beta,
         residual_norm=float(np.linalg.norm(resid)),
@@ -199,18 +195,11 @@ def explained_target_variance(model, blocks, target):
 
 def save_mbpls(model, path):
     """Write ``model`` as a ``"mbpls"`` checkpoint (bit-exact round trip)."""
-    body = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
-    body["x_means"] = [m.tolist() for m in model.x_means]
-    save_checkpoint(path, "mbpls", body, ParamCodec())
+    save_checkpoint(path, "mbpls", model)
 
 
 def load_mbpls(path):
-    _, body, _ = load_checkpoint(path, expected_kind="mbpls")
-    scalars = ("n_components", "block_dims", "residual_norm")
-    return MbplsModel(
-        x_means=[np.array(m, dtype=np.float64) for m in body.pop("x_means")],
-        **{k: v if k in scalars else np.array(v, dtype=np.float64) for k, v in body.items()},
-    )
+    return load_checkpoint(path, "mbpls", (MbplsModel,))
 
 
 def tune_lv(blocks, target, lv_grid=None, folds=5, seed=0):

@@ -6,7 +6,7 @@ import pytest
 from jmml.errors import NumericalError, ShapeError
 from jmml.losses import grad_check
 from jmml.net import Adam, DenseLayer, DenseNet, Param, tied_copy, zero_grads
-from jmml.serialize import ParamCodec, decode_net, encode_net, load_checkpoint, save_checkpoint
+from jmml.serialize import load_checkpoint, save_checkpoint
 
 
 def _mse_backprop(net, x, target):
@@ -122,12 +122,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     shared = DenseLayer.create(4, 4, "relu", rng)
     net = DenseNet([DenseLayer.create(3, 4, "relu", rng), tied_copy(shared), shared])
-    codec = ParamCodec()
-    body = {"net": encode_net(net, codec)}
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, "test", body, codec)
-    _kind, body2, params = load_checkpoint(path, expected_kind="test")
-    net2 = decode_net(body2["net"], params)
+    save_checkpoint(path, "test", net)
+    net2 = load_checkpoint(path, "test", ())
     for p, q in zip(net.params(), net2.params()):
         np.testing.assert_array_equal(p.value, q.value)  # bit-exact
     # tying survives: layers 1 and 2 still share Params
@@ -135,8 +132,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path):
-    codec = ParamCodec()
     path = tmp_path / "x.json"
-    save_checkpoint(path, "alpha", {}, codec)
+    save_checkpoint(path, "alpha", [])
     with pytest.raises(ValueError):
-        load_checkpoint(path, expected_kind="beta")
+        load_checkpoint(path, "beta", ())
