@@ -13,6 +13,10 @@ from .errors import NumericalError, ShapeError
 
 ACTIVATIONS = ("relu", "linear")
 
+# Elements per Adam update block: two float64 scratch blocks (512 KiB) stay in
+# L2 cache, so each element makes one trip through RAM per step.
+BLOCK = 32768
+
 
 class Param:
     """A trainable array with an accumulated gradient."""
@@ -20,7 +24,9 @@ class Param:
     __slots__ = ("value", "grad", "name")
 
     def __init__(self, value, name=""):
-        self.value = np.asarray(value, dtype=np.float64)
+        # C order: Adam updates ``value`` through a flat view, and a reshape
+        # of a non-contiguous array would be a copy that loses the update.
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.value)
         self.name = name
 
@@ -155,6 +161,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._state = {}
+        self._a = np.empty(BLOCK)
+        self._b = np.empty(BLOCK)
 
     def state_for(self, param):
         key = id(param)
@@ -167,17 +175,48 @@ class Adam:
         return self._state[key]
 
     def step(self, params):
-        """Apply one Adam update to each param from its accumulated grad."""
+        """Apply one Adam update to each param from its accumulated grad.
+
+        All-or-nothing: every grad is checked before any param moves, so a
+        non-finite grad raises :class:`NumericalError` with no state changed.
+        Listing one Param twice raises ``ValueError``.
+        """
+        seen = set()
         for p in params:
+            if id(p) in seen:
+                raise ValueError(f"{p.name or 'param'} listed twice in one Adam step")
+            seen.add(id(p))
             if not np.isfinite(p.grad).all():
                 raise NumericalError(f"non-finite gradient for {p.name or 'param'}")
+        b1, b2 = self.beta1, self.beta2
+        for p in params:
             st = self.state_for(p)
             st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * p.grad
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * p.grad**2
-            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            c1 = 1.0 - b1 ** st["t"]
+            c2 = 1.0 - b2 ** st["t"]
+            value, grad = p.value.reshape(-1), p.grad.reshape(-1)
+            m, v = st["m"].reshape(-1), st["v"].reshape(-1)
+            # Blocked, in place: the same IEEE operations in the same order as
+            # ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            # value -= lr * (m/c1) / (sqrt(v/c2) + eps)``, so the bits match.
+            for lo in range(0, value.size, BLOCK):
+                hi = min(lo + BLOCK, value.size)
+                g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = self._a[: hi - lo], self._b[: hi - lo]
+                mb *= b1
+                np.multiply(g, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - b2
+                vb += a
+                np.divide(vb, c2, out=a)
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(mb, c1, out=b)
+                b *= self.lr
+                b /= a
+                value[lo:hi] -= b
 
     def steps_taken(self, param):
         state = self._state.get(id(param))

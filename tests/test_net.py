@@ -5,7 +5,7 @@ import pytest
 
 from jmml.errors import NumericalError, ShapeError
 from jmml.losses import grad_check
-from jmml.net import Adam, DenseLayer, DenseNet, Param, tied_copy, zero_grads
+from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, tied_copy, zero_grads
 from jmml.serialize import load_checkpoint, save_checkpoint
 
 
@@ -100,13 +100,81 @@ def test_adam_rejects_nan_grad():
 
 
 def test_adam_tied_param_steps_once_per_call():
-    # stepping a list containing one Param twice is the caller's bug; the
-    # contract is one state per Param object
+    # one state per Param object: listing a Param twice in one step is the
+    # caller's bug and is rejected before anything moves
     p = Param(np.ones(2))
     opt = Adam(lr=0.01)
     p.grad += 1.0
     opt.step([p])
     assert opt.steps_taken(p) == 1
+    before = p.value.copy()
+    with pytest.raises(ValueError, match="twice"):
+        opt.step([p, Param(np.ones(3)), p])
+    assert opt.steps_taken(p) == 1
+    np.testing.assert_array_equal(p.value, before)
+
+
+def _textbook_adam(params, grads, steps, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    """Whole-array Adam, the formula the blocked update must reproduce bit for bit."""
+    values = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        for i, g in enumerate(grads[t - 1]):
+            ms[i] = b1 * ms[i] + (1.0 - b1) * g
+            vs[i] = b2 * vs[i] + (1.0 - b2) * g**2
+            m_hat = ms[i] / (1.0 - b1**t)
+            v_hat = vs[i] / (1.0 - b2**t)
+            values[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values, ms, vs
+
+
+def test_adam_blocked_update_matches_textbook_bits():
+    rng = np.random.default_rng(6)
+    shapes = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (int(2.5 * BLOCK),), (300, 250)]
+    init = [rng.standard_normal(s) for s in shapes]
+    steps = 5
+    grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3) for s in shapes] for _ in range(steps)]
+    params = [Param(x.copy()) for x in init]
+    opt = Adam(lr=0.01)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad[...] = g
+        opt.step(params)
+    values, ms, vs = _textbook_adam(init, grads, steps)
+    for p, value, m, v in zip(params, values, ms, vs):
+        assert opt.steps_taken(p) == steps
+        np.testing.assert_array_equal(p.value, value)
+        np.testing.assert_array_equal(opt.state_for(p)["m"], m)
+        np.testing.assert_array_equal(opt.state_for(p)["v"], v)
+
+
+def test_adam_nan_grad_moves_no_param():
+    first, second = Param(np.ones(3), name="first"), Param(np.ones(4), name="second")
+    opt = Adam(lr=0.01)
+    first.grad += 1.0
+    second.grad += 2.0
+    opt.step([first, second])
+    before = [
+        (p.value.copy(), opt.state_for(p)["m"].copy(), opt.state_for(p)["v"].copy())
+        for p in (first, second)
+    ]
+    second.grad[1] = np.nan
+    with pytest.raises(NumericalError, match="second"):
+        opt.step([first, second])
+    for p, (value, m, v) in zip((first, second), before):
+        assert opt.steps_taken(p) == 1
+        np.testing.assert_array_equal(p.value, value)
+        np.testing.assert_array_equal(opt.state_for(p)["m"], m)
+        np.testing.assert_array_equal(opt.state_for(p)["v"], v)
+
+
+def test_adam_moves_param_built_from_non_contiguous_array():
+    p = Param(np.ones((3, 4)).T)
+    assert p.value.flags.c_contiguous and p.value.shape == (4, 3)
+    p.grad += 1.0
+    Adam(lr=0.1).step([p])
+    assert (p.value < 1.0).all()
 
 
 def test_shape_validation():
