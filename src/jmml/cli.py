@@ -8,13 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import biomarkers, edcc, forest, io, jecl, mbpls
 from .config import ExperimentConfig, load_config
-from .experiment import render_table, rows_to_json, run_experiment
+from .experiment import fit_cross_modal, fit_jecl, render_table, rows_to_json, run_experiment
 from .pipeline import (
     Dataset,
     SplitSpec,
@@ -56,22 +56,14 @@ def cmd_synth(args):
     io.write_feature_csv(args.out2, ds2)
     if args.spec_out:
         with open(args.spec_out, "w") as fh:
-            json.dump(spec.to_dict(), fh, indent=2)
+            json.dump(asdict(spec), fh, indent=2)
     print(f"wrote {len(ds1)} + {len(ds2)} samples to {args.out1}, {args.out2}")
 
 
 def cmd_train_jecl(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     ds = io.read_feature_csv(args.features, args.modality, args.dimension)
-    by_class = {1: ds.x[ds.y == "+"], 2: ds.x[ds.y == "-"]}
-    model = jecl.build_jecl(
-        ds.dim, 2, setup=config.jecl.setup, hidden=config.jecl.hidden,
-        kld_weight=config.jecl.kld_weight, seed=args.seed,
-    )
-    trace = jecl.train_jecl(
-        model, by_class, epochs=config.jecl.epochs, lr=config.jecl.lr,
-        val_frac=config.jecl.val_frac, patience=config.jecl.patience, seed=args.seed,
-    )
+    model, trace = fit_jecl(ds.x, ds.y, config.jecl, args.seed)
     jecl.save_jecl(model, args.out)
     print(f"trained {len(trace.total)} epochs; final loss {trace.total[-1]:.4f}; saved {args.out}")
 
@@ -90,19 +82,8 @@ def cmd_train_jmml(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     ds1 = io.read_feature_csv(args.features1, "eeg", args.dimension)
     ds2 = io.read_feature_csv(args.features2, "speech", args.dimension)
-    scalers = [edcc.MinMaxScaler.fit(ds.x) for ds in (ds1, ds2)]
-    x1, x2, labels = pair_by_label(ds1, ds2, seed=args.seed)
-    model = edcc.build_edcc(
-        (ds1.dim, ds2.dim), setup=config.edcc.setup, hidden=config.edcc.hidden,
-        projection_dim=config.edcc.projection_dim, seed=args.seed,
-    )
-    model.scalers = scalers
-    trace = edcc.train_edcc(
-        model, scalers[0].transform(x1), scalers[1].transform(x2),
-        epochs=config.edcc.epochs, batch_size=config.edcc.batch_size, lr=config.edcc.lr,
-        cca_w=config.edcc.cca_w, srec_w=config.edcc.srec_w, xrec_w=config.edcc.xrec_w,
-        reg=config.edcc.reg, labels=labels, seed=args.seed,
-    )
+    pairs = pair_by_label(ds1, ds2, seed=args.seed)
+    model, trace = fit_cross_modal(pairs, (ds1.x, ds2.x), config.edcc, args.seed)
     edcc.save_edcc(model, args.out)
     print(f"trained {len(trace)} epochs; final total loss {trace[-1].total:.4f}; saved {args.out}")
 

@@ -7,7 +7,7 @@ projection heads.  Every value can be overridden from a YAML file.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -94,34 +94,32 @@ class ExperimentConfig:
             raise ValueError(f"unknown setup {self.setup!r}")
         return [self.setup]
 
-    def to_dict(self):
-        d = asdict(self)
-        d["synth"] = None if self.synth is None else self.synth.to_dict()
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if d.get("synth") is not None:
-            d["synth"] = SynthSpec.from_dict(d["synth"])
-        if "split" in d and isinstance(d["split"], dict):
-            d["split"] = SplitSpec(**d["split"])
-        for key, sub in (("jecl", JeclConfig), ("mbpls", MbplsConfig),
-                         ("edcc", EdccConfig), ("rf", RfConfig)):
-            if key in d and isinstance(d[key], dict):
-                val = dict(d[key])
-                for tup_key in ("estimator_grid", "depth_grid", "n_components"):
-                    if tup_key in val and isinstance(val[tup_key], list):
-                        val[tup_key] = tuple(val[tup_key])
-                d[key] = sub(**val)
-        return cls(**d)
+def from_dict(cls, d):
+    """Build dataclass ``cls`` from a (possibly partial) plain dict.
+
+    Omitted fields keep their defaults; a dict under a dataclass-valued
+    default becomes that dataclass, a list under a tuple-valued default a
+    tuple.  Unknown keys reach ``cls(**...)`` and raise ``TypeError``.
+    """
+    kwargs = dict(d)
+    for f in fields(cls):
+        if f.name not in kwargs:
+            continue
+        default = f.default_factory() if f.default_factory is not MISSING else f.default
+        value = kwargs[f.name]
+        if is_dataclass(default) and isinstance(value, dict):
+            kwargs[f.name] = from_dict(type(default), value)
+        elif isinstance(default, tuple) and isinstance(value, list):
+            kwargs[f.name] = tuple(value)
+    return cls(**kwargs)
 
 
 def load_config(path):
     with open(path) as fh:
-        return ExperimentConfig.from_dict(yaml.safe_load(fh) or {})
+        return from_dict(ExperimentConfig, yaml.safe_load(fh) or {})
 
 
 def save_config(config, path):
     with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=False)
+        yaml.safe_dump(asdict(config), fh, sort_keys=False)

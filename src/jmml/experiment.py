@@ -92,30 +92,49 @@ def _stage(name):
         raise JmmlError(f"[stage={name}] {err}") from err
 
 
+def fit_jecl(x, y, jecl_cfg, seed):
+    """Build and train the per-class joint embedding blocks on ``x``
+    (class 1 = '+', class 2 = '-'); returns (model, trace)."""
+    model = jecl.build_jecl(
+        x.shape[1], 2, setup=jecl_cfg.setup, hidden=jecl_cfg.hidden,
+        kld_weight=jecl_cfg.kld_weight, seed=seed,
+    )
+    trace = jecl.train_jecl(
+        model, {1: x[y == POS], 2: x[y == NEG]}, epochs=jecl_cfg.epochs, lr=jecl_cfg.lr,
+        val_frac=jecl_cfg.val_frac, patience=jecl_cfg.patience, seed=seed,
+    )
+    return model, trace
+
+
+def fit_cross_modal(pairs, scale_sets, edcc_cfg, seed):
+    """Build and train the cross-modal autoencoder; returns (model, trace).
+
+    ``pairs`` is (x1_paired, x2_paired, labels) in raw feature space, with
+    ``labels`` None for index-paired data; each modality's [0,1] scaler is
+    fitted on ``scale_sets[m]`` and stored on the model.
+    """
+    scalers = [MinMaxScaler.fit(x) for x in scale_sets]
+    model = edcc.build_edcc(
+        (scale_sets[0].shape[1], scale_sets[1].shape[1]), setup=edcc_cfg.setup,
+        hidden=edcc_cfg.hidden, projection_dim=edcc_cfg.projection_dim, seed=seed,
+    )
+    model.scalers = scalers
+    trace = edcc.train_edcc(
+        model, scalers[0].transform(pairs[0]), scalers[1].transform(pairs[1]),
+        epochs=edcc_cfg.epochs, batch_size=edcc_cfg.batch_size, lr=edcc_cfg.lr,
+        cca_w=edcc_cfg.cca_w, srec_w=edcc_cfg.srec_w, xrec_w=edcc_cfg.xrec_w, reg=edcc_cfg.reg,
+        labels=pairs[2], seed=seed,
+    )
+    return model, trace
+
+
 def jec_ssl_transform(train_x, train_y, test_x, config, seed, modality=0):
     """Fit the intra-modal chain on training data; return transformed
     (train, test) feature matrices."""
     scaler = _Standardizer(train_x)
     xs_train = scaler(train_x)
     xs_test = scaler(test_x)
-    by_class = {1: xs_train[train_y == POS], 2: xs_train[train_y == NEG]}
-    model = jecl.build_jecl(
-        train_x.shape[1],
-        2,
-        setup=config.jecl.setup,
-        hidden=config.jecl.hidden,
-        kld_weight=config.jecl.kld_weight,
-        seed=seed,
-    )
-    jecl.train_jecl(
-        model,
-        by_class,
-        epochs=config.jecl.epochs,
-        lr=config.jecl.lr,
-        val_frac=config.jecl.val_frac,
-        patience=config.jecl.patience,
-        seed=seed,
-    )
+    model, _trace = fit_jecl(xs_train, train_y, config.jecl, seed)
     blocks_train = jecl.embed_blocks(model, xs_train)
     blocks_test = jecl.embed_blocks(model, xs_test)
     n, d = xs_train.shape
@@ -132,37 +151,13 @@ def jec_ssl_transform(train_x, train_y, test_x, config, seed, modality=0):
 
 
 def cross_modal_features(pairs, train_sets, test_sets, config, seed):
-    """Train the cross-modal autoencoder on paired [0,1]-scaled data and
-    return per-modality [input, self-reconstruction] feature matrices.
+    """Train the cross-modal autoencoder (scalers fitted on ``train_sets``)
+    and return per-modality [input, self-reconstruction] feature matrices.
 
-    ``pairs`` is (x1_paired, x2_paired, labels) in raw feature space;
-    ``train_sets``/``test_sets`` are per-modality raw matrices.
+    ``pairs`` is as for ``fit_cross_modal``; ``train_sets``/``test_sets``
+    are per-modality raw matrices.
     """
-    scalers = [MinMaxScaler.fit(train_sets[m]) for m in range(2)]
-    x1p = scalers[0].transform(pairs[0])
-    x2p = scalers[1].transform(pairs[1])
-    model = edcc.build_edcc(
-        (train_sets[0].shape[1], train_sets[1].shape[1]),
-        setup=config.edcc.setup,
-        hidden=config.edcc.hidden,
-        projection_dim=config.edcc.projection_dim,
-        seed=seed,
-    )
-    model.scalers = scalers
-    edcc.train_edcc(
-        model,
-        x1p,
-        x2p,
-        epochs=config.edcc.epochs,
-        batch_size=config.edcc.batch_size,
-        lr=config.edcc.lr,
-        cca_w=config.edcc.cca_w,
-        srec_w=config.edcc.srec_w,
-        xrec_w=config.edcc.xrec_w,
-        reg=config.edcc.reg,
-        labels=pairs[2],
-        seed=seed,
-    )
+    model, _trace = fit_cross_modal(pairs, train_sets, config.edcc, seed)
     out = []
     for m in range(2):
         feats = [edcc.classifier_features(model, m, x) for x in (train_sets[m], test_sets[m])]

@@ -39,10 +39,6 @@ class MbplsModel:
     beta: np.ndarray             # (p, q) regression map on centered data
     residual_norm: float         # ||target - T_s V^T||_F at fit time
 
-    @property
-    def num_blocks(self):
-        return len(self.block_dims)
-
 
 def _finite(a, stage, what):
     if not np.isfinite(a).all():
@@ -207,6 +203,7 @@ def tune_lv(blocks, target, lv_grid=None, folds=5, seed=0):
 
     The default grid is 40..120 step 2; grid values are clipped to what
     the fold sizes and data rank admit.  Ties break to the smallest K.
+    Raises ``ShapeError`` when the fold sizes admit no LV count.
     """
     if lv_grid is None:
         lv_grid = list(range(40, 121, 2))
@@ -231,4 +228,6 @@ def tune_lv(blocks, target, lv_grid=None, folds=5, seed=0):
         if err < best_err - 1e-12:
             best_err = err
             best_k = k
+    if best_k is None:
+        raise ShapeError(f"mbpls tune_lv: n={n} samples in folds={folds} admit no LV count")
     return best_k

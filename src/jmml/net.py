@@ -119,10 +119,6 @@ class DenseNet:
     def input_dim(self):
         return self.layers[0].in_dim
 
-    @property
-    def output_dim(self):
-        return self.layers[-1].out_dim
-
     def params(self):
         return unique_params(p for layer in self.layers for p in (layer.w, layer.b))
 

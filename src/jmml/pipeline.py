@@ -190,25 +190,6 @@ class SynthSpec:
     # stage is meant to exploit
     modality_noise: tuple = (1.0, 1.5)
 
-    def to_dict(self):
-        return {
-            "n_per_class": self.n_per_class,
-            "latent_dim": self.latent_dim,
-            "dims": list(self.dims),
-            "noise": self.noise,
-            "seed": self.seed,
-            "class_separation": self.class_separation,
-            "modality_noise": list(self.modality_noise),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["dims"] = tuple(d["dims"])
-        if "modality_noise" in d:
-            d["modality_noise"] = tuple(d["modality_noise"])
-        return cls(**d)
-
 
 def synth_bimodal(spec=SynthSpec(), dimension="valence"):
     """Two labeled datasets sharing a class-conditioned latent.

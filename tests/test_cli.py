@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jmml import edcc
+from jmml import edcc, jecl
 from jmml.biomarkers import EegTrial
 from jmml.cli import main
 from jmml.config import load_config
@@ -64,6 +64,30 @@ def test_train_jecl_and_fit_mbpls_verbs(tmp_path, synth_csvs, capsys):
         "--components", "6", "--out", str(pls_path),
     ])
     assert rc == 0 and pls_path.exists()
+
+
+def test_train_jecl_checkpoint_pins_config_mapping(tmp_path, synth_csvs, capsys):
+    # Every JeclConfig field must reach build_jecl/train_jecl under its own
+    # keyword, on the CSV's raw (unstandardized) features.
+    p1, _p2 = synth_csvs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("jecl: {setup: setup2, hidden: 16, kld_weight: 0.5, epochs: 12,"
+                   " lr: 0.02, val_frac: 0.2, patience: 2}\n")
+    out = tmp_path / "jecl.json"
+    rc = main([
+        "train-jecl", "--features", p1, "--modality", "eeg",
+        "--config", str(cfg), "--seed", "4", "--out", str(out),
+    ])
+    assert rc == 0
+
+    ds = read_feature_csv(p1, modality="eeg")
+    direct = jecl.build_jecl(ds.dim, 2, setup="setup2", hidden=16, kld_weight=0.5, seed=4)
+    trace = jecl.train_jecl(direct, {1: ds.x[ds.y == "+"], 2: ds.x[ds.y == "-"]},
+                            epochs=12, lr=0.02, val_frac=0.2, patience=2, seed=4)
+    assert len(trace.total) == 11  # patience, not the epoch cap, ends the run
+    ref = tmp_path / "direct.json"
+    jecl.save_jecl(direct, ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_train_jmml_verb(tmp_path, synth_csvs, capsys):

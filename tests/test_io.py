@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jmml.biomarkers import EegTrial
-from jmml.config import ExperimentConfig, load_config, save_config
+from jmml.config import ExperimentConfig, JeclConfig, MbplsConfig, load_config, save_config
 from jmml.errors import LabelError
 from jmml.io import (
     format_label,
@@ -134,6 +134,29 @@ def test_config_defaults_from_empty_yaml(tmp_path):
     cfg = load_config(path)
     assert cfg == ExperimentConfig()
     assert cfg.setups() == ["baseline", "jec_ssl", "baseline_edcc", "jmml"]
+
+
+def test_config_partial_sections_keep_defaults(tmp_path):
+    path = tmp_path / "partial.yaml"
+    path.write_text("synth: {n_per_class: 30}\nmbpls: {n_components: [40, 6]}\n")
+    cfg = load_config(path)
+    assert cfg.synth == SynthSpec(n_per_class=30)
+    assert cfg.mbpls == MbplsConfig(n_components=(40, 6))
+    assert isinstance(cfg.mbpls.n_components, tuple)
+    assert cfg.jecl == JeclConfig() and cfg.split == ExperimentConfig().split
+
+
+def test_config_null_synth_section(tmp_path):
+    path = tmp_path / "csv.yaml"
+    path.write_text("synth: null\n")
+    assert load_config(path).synth is None
+
+
+def test_config_unknown_key_raises(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text("jecl: {epoch: 5}\n")
+    with pytest.raises(TypeError):
+        load_config(path)
 
 
 def test_config_single_setup_selection():

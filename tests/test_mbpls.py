@@ -241,3 +241,11 @@ def test_tune_lv_clips_grid_to_rank():
     x, y = _random_problem(12, n=20, p=4, q=1)
     best = tune_lv([x], y, lv_grid=[40, 60], folds=5, seed=0)
     assert best <= 4
+
+
+def test_tune_lv_raises_when_folds_admit_no_lv_count():
+    # n = 2 in two folds leaves one training sample: the rank clip empties
+    # the grid, which must raise rather than hand None to fit
+    x, y = _random_problem(13, n=2, p=3, q=1)
+    with pytest.raises(ShapeError, match=r"tune_lv.*n=2.*folds=2"):
+        tune_lv([x], y, [2, 4], folds=2)

@@ -1,10 +1,14 @@
 """Label plumbing, splits, oversampling, pairing and the synthetic corpus."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jmml.config import from_dict
 from jmml.errors import LabelError, RangeError, SingleClassError
 from jmml.forest import NEG, POS
 from jmml.pipeline import (
@@ -208,7 +212,7 @@ def test_synth_classes_separable_at_low_noise():
 
 def test_synth_spec_roundtrip():
     spec = SynthSpec(n_per_class=7, dims=(8, 6), noise=0.5, seed=9)
-    assert SynthSpec.from_dict(spec.to_dict()) == spec
+    assert from_dict(SynthSpec, json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_synth_dims_validated():
