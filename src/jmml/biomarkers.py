@@ -107,6 +107,8 @@ class FeatureSelection:
                 raise ValueError(f"unknown spectral feature {f!r}")
         if not self.temporal and not self.spectral:
             raise ValueError("feature selection is empty")
+        if "spectral_entropy" in self.spectral and len(self.bands) < 2:
+            raise ValueError("spectral_entropy needs at least 2 bands")
 
     def dim_per_channel(self):
         n_band_feats = sum(1 for f in ("psi", "rir") if f in self.spectral)
@@ -202,19 +204,22 @@ def higuchi_fd(signal, k_max=8):
     """Higuchi fractal dimension.
 
     Least-squares slope of log(L(k)) against log(1/k) over curve lengths
-    L(k) for k = 1..k_max.
+    L(k) for k = 1..k_max.  The lag-k absolute difference is taken once per
+    k; its stride-k view from m holds exactly ``np.diff(x[..., m::k])``.
     """
     x = _as_signal(signal, min_len=2 * k_max)
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     n = x.shape[-1]
+    scratch = np.empty(x.shape)
     lk = []
     for k in range(1, k_max + 1):
+        dk = np.subtract(x[..., k:], x[..., :-k], out=scratch[..., : n - k])
+        np.abs(dk, out=dk)
         lengths = []
         for m in range(k):
-            sub = x[..., m::k]
-            norm = (n - 1) / ((sub.shape[-1] - 1) * k)
-            lengths.append(np.sum(np.abs(np.diff(sub)), axis=-1) * norm / k)
+            norm = (n - 1) / ((len(range(m, n, k)) - 1) * k)
+            lengths.append(np.sum(dk[..., m::k], axis=-1) * norm / k)
         lk.append(np.mean(np.stack(lengths, axis=-1), axis=-1))
     lk = np.stack(lk, axis=-1)
     _raise_degenerate((lk <= 0.0).any(axis=-1), "constant signal has zero curve length")
@@ -312,6 +317,8 @@ def band_powers(signal, sample_rate, bands=DEFAULT_BANDS):
 def spectral_entropy(rir):
     """Normalized Shannon entropy of band probabilities on the last axis, in [0, 1]."""
     p = np.asarray(rir, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] < 2:
+        raise ShapeError(f"spectral entropy needs at least 2 bands on the last axis, got shape {p.shape}")
     p_log_p = p * np.log(np.where(p > 0.0, p, 1.0))
     return -np.sum(p_log_p, axis=-1) / np.log(p.shape[-1])
 
@@ -354,7 +361,8 @@ def extract_trial(trial, selection=FeatureSelection(), k_max=8):
 
 
 def _as_signal(signal, min_len):
-    x = np.asarray(signal, dtype=np.float64)
+    # C order: a row then reduces in the same order as that channel alone
+    x = np.asarray(signal, dtype=np.float64, order="C")
     if x.ndim not in (1, 2):
         raise ShapeError(f"expected a signal or a (channels, samples) matrix, got shape {x.shape}")
     if x.shape[-1] < min_len:

@@ -53,9 +53,7 @@ def write_feature_csv(path, dataset):
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"f{i}" for i in range(dataset.dim)])
         for sid, label, row in zip(dataset.ids, dataset.y, dataset.x):
-            writer.writerow(
-                [sid, format_label(dataset.dimension, label)] + [repr(float(v)) for v in row]
-            )
+            writer.writerow([sid, format_label(dataset.dimension, label), *map(repr, row.tolist())])
 
 
 def read_feature_csv(path, modality="eeg", dimension=None):
@@ -77,7 +75,7 @@ def read_feature_csv(path, modality="eeg", dimension=None):
             ids.append(rec[0])
             labels.append(pol)
             dims.add(dim)
-            rows.append([float(v) for v in rec[2:]])
+            rows.append(list(map(float, rec[2:])))
     if not rows:
         raise ValueError(f"{path}: no rows" + (f" for dimension {dimension}" if dimension else ""))
     if dimension is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jmml.biomarkers import (
     DEFAULT_BANDS,
     STANDARD_BANDS,
+    TEMPORAL_FEATURES,
     BandSet,
     EegTrial,
     FeatureSelection,
@@ -97,6 +98,49 @@ def test_higuchi_constant_raises():
         higuchi_fd(np.zeros(128))
 
 
+def _higuchi_reference(signal, k_max=8):
+    # HFD as one strided slice -> diff -> abs -> sum per (k, m);
+    # higuchi_fd must agree with it bit for bit
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[-1]
+    lk = []
+    for k in range(1, k_max + 1):
+        lengths = []
+        for m in range(k):
+            sub = x[..., m::k]
+            norm = (n - 1) / ((sub.shape[-1] - 1) * k)
+            lengths.append(np.sum(np.abs(np.diff(sub)), axis=-1) * norm / k)
+        lk.append(np.mean(np.stack(lengths, axis=-1), axis=-1))
+    lk = np.stack(lk, axis=-1)
+    log_x = np.log(1.0 / np.arange(1, k_max + 1))
+    slopes = [np.polyfit(log_x, y, 1)[0] for y in np.reshape(np.log(lk), (-1, k_max))]
+    return np.reshape(slopes, lk.shape[:-1])[()]
+
+
+@pytest.mark.parametrize("k_max", [2, 5, 8])
+@pytest.mark.parametrize("shape", [(7681,), (100,), (3, 7681), (4, 100), (200, 16)])
+def test_higuchi_matches_reference_loop(shape, k_max):
+    x = np.random.default_rng(shape[-1] + k_max).standard_normal(shape)
+    np.testing.assert_array_equal(higuchi_fd(x, k_max=k_max), _higuchi_reference(x, k_max))
+
+
+@pytest.mark.parametrize("k_max", [2, 5, 8])
+def test_higuchi_matches_reference_loop_at_shortest_length(k_max):
+    # n = 2 k_max: k = k_max leaves one difference per m
+    x = np.random.default_rng(k_max).standard_normal((3, 2 * k_max))
+    np.testing.assert_array_equal(higuchi_fd(x, k_max=k_max), _higuchi_reference(x, k_max))
+    np.testing.assert_array_equal(higuchi_fd(x[1], k_max=k_max), _higuchi_reference(x[1], k_max))
+
+
+def test_higuchi_any_memory_layout_matches_reference_loop():
+    # the reference runs on C-ordered copies: it sums an F-ordered matrix's
+    # rows in another order, so its rows there differ from the channels alone
+    x = np.random.default_rng(9).standard_normal((32, 7681))
+    np.testing.assert_array_equal(higuchi_fd(np.asfortranarray(x)), _higuchi_reference(x))
+    strided = x[:, ::2]
+    np.testing.assert_array_equal(higuchi_fd(strided), _higuchi_reference(strided.copy()))
+
+
 # ---------------------------------------------------------------------------
 # DFA and Hurst
 
@@ -179,6 +223,22 @@ def test_spectral_entropy_bounds():
     assert spectral_entropy(np.full(4, 0.25)) == pytest.approx(1.0)
 
 
+def test_spectral_entropy_needs_two_bands():
+    with pytest.raises(ShapeError):
+        spectral_entropy(np.array([1.0]))
+    with pytest.raises(ShapeError):
+        spectral_entropy(np.ones((3, 1)))
+
+
+def test_selection_rejects_spectral_entropy_over_one_band():
+    one_band = BandSet((("alpha", 8.0, 13.0),))
+    with pytest.raises(ValueError, match="spectral_entropy"):
+        FeatureSelection(bands=one_band)
+    # PSI and RIR alone are fine on one band
+    sel = FeatureSelection(bands=one_band, spectral=("psi", "rir"))
+    assert extract_trial(_noise_trial(), sel).dim == sel.output_dim(4)
+
+
 def test_band_exceeding_nyquist_rejected():
     with pytest.raises(ValueError):
         band_powers(np.random.default_rng(0).standard_normal(256), 64.0)  # gamma > 32 Hz
@@ -228,6 +288,17 @@ def test_extract_trial_channel_major_order():
         for ch in range(n_channels):
             expected = channel_features(trial.channels[ch], trial.sample_rate, sel)
             np.testing.assert_array_equal(vec.values[ch * per:(ch + 1) * per], expected)
+        hfd_col = sel.temporal.index("hfd")
+        np.testing.assert_array_equal(vec.values[hfd_col::per], _higuchi_reference(trial.channels))
+
+
+def test_extract_trial_independent_of_memory_layout():
+    sel = FeatureSelection(temporal=TEMPORAL_FEATURES)
+    trial = _noise_trial(n_channels=6, n_samples=1024)
+    expected = extract_trial(trial, sel).values
+    for channels in (np.asfortranarray(trial.channels), np.repeat(trial.channels, 2, axis=1)[:, ::2]):
+        got = extract_trial(EegTrial(channels, trial.sample_rate), sel).values
+        np.testing.assert_array_equal(got, expected)
 
 
 def _mixed_channels():

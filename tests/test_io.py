@@ -1,5 +1,8 @@
 """File formats and configuration round trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,23 @@ def test_feature_csv_roundtrip_bit_exact(tmp_path):
     assert back.dimension == "valence"
 
 
+def test_feature_csv_bytes_match_per_scalar_repr(tmp_path):
+    # the writer formats whole rows; the bytes equal repr(float(v)) per numpy scalar
+    ds = _dataset(n=4, d=6)
+    ds.x[0] = [-0.0, 5e-324, 1e308, 0.1, -1e-300, 2.0 / 3.0]
+    path = tmp_path / "f.csv"
+    write_feature_csv(path, ds)
+    expected = io.StringIO(newline="")
+    w = csv.writer(expected)
+    w.writerow(["id", "label"] + [f"f{i}" for i in range(ds.dim)])
+    for sid, label, row in zip(ds.ids, ds.y, ds.x):
+        w.writerow([sid, format_label(ds.dimension, label)] + [repr(float(v)) for v in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    back = read_feature_csv(path)
+    np.testing.assert_array_equal(back.x, ds.x)
+    assert np.signbit(back.x[0, 0])
+
+
 def test_feature_csv_dimension_filter(tmp_path):
     a = _dataset(dimension="valence")
     b = _dataset(seed=1, dimension="arousal")
@@ -54,9 +74,8 @@ def test_feature_csv_dimension_filter(tmp_path):
     write_feature_csv(path, a)
     with open(path) as fh:
         lines = fh.read().splitlines()
-    import csv as _csv
     with open(path, "a", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         for sid, label, row in zip(b.ids, b.y, b.x):
             w.writerow([sid + "x", f"A{label}"] + [repr(float(v)) for v in row])
     with pytest.raises(ValueError):
