@@ -9,7 +9,9 @@ Every feature function takes one signal or a (channels, samples) matrix and
 reduces along the last axis: a value per signal, a (channels,) array per
 matrix, each row equal bit for bit to that channel alone.  A degenerate row
 raises :class:`DegenerateSignal` naming the lowest-index bad channel (no
-channel for a single signal).
+channel for a single signal); in ``channel_features`` a feature that
+overflows to a non-finite value raises :class:`FeatureOverflow` the same
+way.
 
 Feature ordering contract
 -------------------------
@@ -34,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateSignal, ShapeError
+from .errors import DegenerateSignal, FeatureOverflow, ShapeError
 
 TEMPORAL_FEATURES = (
     "hjorth_mobility",
@@ -180,7 +182,7 @@ def hjorth(signal):
     """
     x = _as_signal(signal, min_len=3)
     var_x = np.var(x, axis=-1)
-    _raise_degenerate(var_x == 0.0, "constant signal has no Hjorth parameters")
+    _raise_rows(var_x == 0.0, "constant signal has no Hjorth parameters")
     dx = np.diff(x)
     var_dx = np.var(dx, axis=-1)
     mobility = np.sqrt(var_dx / var_x)
@@ -222,7 +224,7 @@ def higuchi_fd(signal, k_max=8):
             lengths.append(np.sum(dk[..., m::k], axis=-1) * norm / k)
         lk.append(np.mean(np.stack(lengths, axis=-1), axis=-1))
     lk = np.stack(lk, axis=-1)
-    _raise_degenerate((lk <= 0.0).any(axis=-1), "constant signal has zero curve length")
+    _raise_rows((lk <= 0.0).any(axis=-1), "constant signal has zero curve length")
     return _loglog_slope(np.log(1.0 / np.arange(1, k_max + 1)), np.log(lk), "HFD")
 
 
@@ -243,7 +245,7 @@ def dfa(signal):
     Box sizes are powers of 2 from 4 to N/4; linear detrending per box.
     """
     x = _as_signal(signal, min_len=64)
-    _raise_degenerate(np.var(x, axis=-1) == 0.0, "constant signal has no fluctuation")
+    _raise_rows(np.var(x, axis=-1) == 0.0, "constant signal has no fluctuation")
     profile = np.cumsum(x - np.mean(x, axis=-1, keepdims=True), axis=-1)
     sizes = _box_sizes(x.shape[-1])
     f = []
@@ -260,7 +262,7 @@ def dfa(signal):
 def hurst(signal):
     """Rescaled-range Hurst exponent over the DFA box schedule."""
     x = _as_signal(signal, min_len=64)
-    _raise_degenerate(np.var(x, axis=-1) == 0.0, "constant signal has no Hurst exponent")
+    _raise_rows(np.var(x, axis=-1) == 0.0, "constant signal has no Hurst exponent")
     sizes = _box_sizes(x.shape[-1])
     rs = []
     for size in sizes:
@@ -285,7 +287,7 @@ def _loglog_slope(log_x, log_y, name, keep=None):
     """
     if keep is None:
         keep = np.ones_like(log_y, dtype=bool)
-    _raise_degenerate(keep.sum(axis=-1) < 2, f"not enough non-degenerate scales for {name}")
+    _raise_rows(keep.sum(axis=-1) < 2, f"not enough non-degenerate scales for {name}")
     rows = zip(np.reshape(log_y, (-1, log_x.size)), np.reshape(keep, (-1, log_x.size)))
     slopes = [np.polyfit(log_x[k], y[k], 1)[0] for y, k in rows]
     return np.reshape(slopes, log_y.shape[:-1])[()]
@@ -310,7 +312,7 @@ def band_powers(signal, sample_rate, bands=DEFAULT_BANDS):
     edges = np.searchsorted(freqs, [(low, high) for _name, low, high in bands.bands])
     psi = np.stack([spectrum[..., lo:hi].sum(axis=-1) for lo, hi in edges], axis=-1)
     total = psi.sum(axis=-1)
-    _raise_degenerate(total == 0.0, "no spectral mass inside the requested bands")
+    _raise_rows(total == 0.0, "no spectral mass inside the requested bands")
     return psi, psi / total[..., None]
 
 
@@ -336,17 +338,24 @@ def channel_features(x, sample_rate, selection, k_max=8):
     pair = {}
     if {"hjorth_mobility", "hjorth_complexity"} & set(selection.temporal):
         pair = dict(zip(("hjorth_mobility", "hjorth_complexity"), hjorth(x)))
-    cols = [(pair[name] if name in pair else features[name](x))[..., None]
+    cols = [_finite(name, (pair[name] if name in pair else features[name](x))[..., None])
             for name in TEMPORAL_FEATURES if name in selection.temporal]
     if selection.spectral:
         psi, rir = band_powers(x, sample_rate, selection.bands)
         if "psi" in selection.spectral:
-            cols.append(psi)
+            cols.append(_finite("psi", psi))
         if "rir" in selection.spectral:
-            cols.append(rir)
+            cols.append(_finite("rir", rir))
         if "spectral_entropy" in selection.spectral:
-            cols.append(spectral_entropy(rir)[..., None])
+            cols.append(_finite("spectral_entropy", spectral_entropy(rir)[..., None]))
     return np.concatenate(cols, axis=-1)
+
+
+def _finite(name, col):
+    """``col``, a feature with its values on the last axis, unless a row is
+    non-finite: then FeatureOverflow names the feature and lowest bad row."""
+    _raise_rows(~np.isfinite(col).all(axis=-1), f"{name} is not finite", FeatureOverflow)
+    return col
 
 
 def extract_trial(trial, selection=FeatureSelection(), k_max=8):
@@ -370,7 +379,7 @@ def _as_signal(signal, min_len):
     return x
 
 
-def _raise_degenerate(bad, message):
-    """Raise DegenerateSignal if any row is ``bad``, naming the lowest one."""
+def _raise_rows(bad, message, error=DegenerateSignal):
+    """Raise ``error`` if any row is ``bad``, naming the lowest one."""
     if np.any(bad):
-        raise DegenerateSignal(message, channel=int(np.argmax(bad)) if np.ndim(bad) else None)
+        raise error(message, channel=int(np.argmax(bad)) if np.ndim(bad) else None)

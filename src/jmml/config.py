@@ -33,13 +33,8 @@ class MbplsConfig:
     # chain separately.  Clipped to data rank at fit time.
     n_components: int | tuple = (48, 8)
     tune: bool = False
-    lv_grid_start: int = 40
-    lv_grid_stop: int = 120
-    lv_grid_step: int = 2
+    lv_grid: tuple = tuple(range(40, 121, 2))
     folds: int = 5
-
-    def grid(self):
-        return list(range(self.lv_grid_start, self.lv_grid_stop + 1, self.lv_grid_step))
 
 
 @dataclass

@@ -115,7 +115,7 @@ def build_edcc(input_dims, setup="setup3", hidden=None, projection_dim=20, seed=
     mods = []
     for m, dim in enumerate(input_dims):
         other = input_dims[1 - m]
-        h = 2 * dim if hidden is None else (hidden[m] if np.iterable(hidden) else hidden)
+        h = 2 * dim if hidden is None else hidden
         mid = latent_width(setup, h)
         encoder = DenseNet.build([dim, h, mid, h], ["relu"] * 3, rng, name=f"m{m}.enc")
         projection = DenseLayer.create(h, projection_dim, "linear", rng, name=f"m{m}.proj")

@@ -5,14 +5,22 @@ class JmmlError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateSignal(JmmlError):
-    """Signal has no usable variation (constant or all-zero input)."""
+class ChannelError(JmmlError):
+    """A bad row of a (channels, samples) signal; names the channel if known."""
 
     def __init__(self, message, channel=None):
         if channel is not None:
             message = f"{message} (channel={channel})"
         super().__init__(message)
         self.channel = channel
+
+
+class DegenerateSignal(ChannelError):
+    """Signal has no usable variation (constant or all-zero input)."""
+
+
+class FeatureOverflow(ChannelError):
+    """A finite signal's biomarker is not finite: its scale overflows float64."""
 
 
 class DegenerateVector(JmmlError):

@@ -139,7 +139,7 @@ def jec_ssl_transform(train_x, train_y, test_x, config, seed, modality=0):
     blocks_test = jecl.embed_blocks(model, xs_test)
     n, d = xs_train.shape
     if config.mbpls.tune:
-        k = mbpls.tune_lv(blocks_train, xs_train, config.mbpls.grid(),
+        k = mbpls.tune_lv(blocks_train, xs_train, config.mbpls.lv_grid,
                           folds=config.mbpls.folds, seed=seed)
     else:
         k_cfg = config.mbpls.n_components

@@ -9,11 +9,14 @@ Branch layout (default "setup3" with hidden width 2N): encoder 2N relu,
 latent 4N relu, decoder 2N relu.  The two decoder outputs feed a linear
 fuse layer of N units whose output is the block's joint embedding.
 
-Training loss per block: the fuse layer is read out separately for each
-branch (the other branch's half zeroed), giving an N-dim reconstruction
-per branch; each is scored against the input with cosine + KLD and the
-two terms are summed.  This trains both branches and the fuse read-out
-while keeping the per-branch decomposition explicit.
+Each branch is one plain :class:`DenseNet` that ends in its own half of
+the fuse weight; the two halves share one fuse bias ``b``.  A branch's
+output is then the fuse layer read out with the other branch's half
+zeroed, an N-dim reconstruction, and the joint embedding is the full fuse
+layer, ``rec_ind + rec_sim - b``.  Training scores each reconstruction
+against the input with cosine + KLD and sums the two terms, which trains
+both branches and the fuse read-out while keeping the per-branch
+decomposition explicit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyClassError, ShapeError
 from .losses import loss_cosine_kld
-from .net import Adam, DenseLayer, DenseNet, tied_copy, unique_params, zero_grads
+from .net import Adam, DenseLayer, DenseNet, Param, glorot_uniform, unique_params, zero_grads
 from .serialize import load_checkpoint, save_checkpoint
 
 SETUPS = ("setup1", "setup2", "setup3")
@@ -42,12 +45,12 @@ def latent_width(setup, hidden):
 
 @dataclass
 class EmotionBlock:
-    """Independent + similarity branches and the linear fuse read-out."""
+    """Independent and similarity branches, each ending in its half of the
+    linear fuse read-out; both halves share the fuse bias."""
 
     class_id: int
     ind_branch: DenseNet
     sim_branch: DenseNet
-    fuse: DenseLayer
     centroid: np.ndarray | None = None
 
     @property
@@ -56,12 +59,10 @@ class EmotionBlock:
 
     def private_params(self):
         shared = {id(p) for p in self.shared_params()}
-        params = [
+        return unique_params(
             p for net in (self.ind_branch, self.sim_branch) for p in net.params()
             if id(p) not in shared
-        ]
-        params.extend([self.fuse.w, self.fuse.b])
-        return params
+        )
 
     def shared_params(self):
         # similarity latent layer (index 1 of the sim branch)
@@ -70,16 +71,12 @@ class EmotionBlock:
 
     def forward(self, x):
         """Forward pass caching everything needed for loss and embedding."""
-        ind_acts = self.ind_branch.forward(np.atleast_2d(x))
-        sim_acts = self.sim_branch.forward(np.atleast_2d(x))
-        d_ind = ind_acts[-1]
-        d_sim = sim_acts[-1]
-        h = d_ind.shape[1]
-        w = self.fuse.w.value
-        b = self.fuse.b.value
-        rec_ind = d_ind @ w[:h] + b
-        rec_sim = d_sim @ w[h:] + b
-        fused = rec_ind + rec_sim - b
+        x = np.atleast_2d(x)
+        ind_acts = self.ind_branch.forward(x)
+        sim_acts = self.sim_branch.forward(x)
+        rec_ind, rec_sim = ind_acts[-1], sim_acts[-1]
+        # each read-out added the shared fuse bias; the full layer adds it once
+        fused = rec_ind + rec_sim - self.ind_branch.layers[-1].b.value
         return {
             "ind_acts": ind_acts,
             "sim_acts": sim_acts,
@@ -90,14 +87,8 @@ class EmotionBlock:
 
     def backward(self, cache, grad_rec_ind, grad_rec_sim):
         """Accumulate grads from the two branch-reconstruction gradients."""
-        d_ind = cache["ind_acts"][-1]
-        d_sim = cache["sim_acts"][-1]
-        h = d_ind.shape[1]
-        self.fuse.w.grad[:h] += d_ind.T @ grad_rec_ind
-        self.fuse.w.grad[h:] += d_sim.T @ grad_rec_sim
-        self.fuse.b.grad += grad_rec_ind.sum(axis=0) + grad_rec_sim.sum(axis=0)
-        self.ind_branch.backward(cache["ind_acts"], grad_rec_ind @ self.fuse.w.value[:h].T)
-        self.sim_branch.backward(cache["sim_acts"], grad_rec_sim @ self.fuse.w.value[h:].T)
+        self.ind_branch.backward(cache["ind_acts"], grad_rec_ind)
+        self.sim_branch.backward(cache["sim_acts"], grad_rec_sim)
 
 
 @dataclass
@@ -141,12 +132,20 @@ def build_jecl(input_dim, num_classes, setup="setup3", hidden=None, kld_weight=1
     shared_latent = DenseLayer.create(h, lat, "relu", rng, name="sim_latent")
     blocks = []
     for class_id in range(1, num_classes + 1):
-        ind = DenseNet.build([input_dim, h, lat, h], ["relu", "relu", "relu"], rng, name=f"b{class_id}.ind")
-        sim_enc = DenseLayer.create(input_dim, h, "relu", rng, name=f"b{class_id}.sim.enc")
-        sim_dec = DenseLayer.create(lat, h, "relu", rng, name=f"b{class_id}.sim.dec")
-        sim = DenseNet([sim_enc, tied_copy(shared_latent), sim_dec])
-        fuse = DenseLayer.create(2 * h, input_dim, "linear", rng, name=f"b{class_id}.fuse")
-        blocks.append(EmotionBlock(class_id, ind, sim, fuse))
+        name = f"b{class_id}"
+        ind = DenseNet.build([input_dim, h, lat, h], ["relu", "relu", "relu"], rng, name=f"{name}.ind")
+        sim_enc = DenseLayer.create(input_dim, h, "relu", rng, name=f"{name}.sim.enc")
+        sim_dec = DenseLayer.create(lat, h, "relu", rng, name=f"{name}.sim.dec")
+        # one (2h, N) fuse layer, its weight rows split between the branches
+        fuse_w = glorot_uniform(rng, 2 * h, input_dim)
+        fuse_b = Param(np.zeros(input_dim), name=f"{name}.fuse.b")
+        ind_fuse = DenseLayer(Param(fuse_w[:h].copy(), name=f"{name}.fuse.ind.w"), fuse_b, "linear")
+        sim_fuse = DenseLayer(Param(fuse_w[h:].copy(), name=f"{name}.fuse.sim.w"), fuse_b, "linear")
+        blocks.append(EmotionBlock(
+            class_id,
+            DenseNet([*ind.layers, ind_fuse]),
+            DenseNet([sim_enc, shared_latent, sim_dec, sim_fuse]),
+        ))
     return JeclModel(blocks, setup=setup, kld_weight=kld_weight)
 
 
@@ -205,8 +204,9 @@ def train_jecl(
 
     opt = Adam(lr=lr)
     trace = TrainTrace()
+    all_params = unique_params(p for b in model.blocks for p in b.private_params() + b.shared_params())
     best_val = np.inf
-    best_state = None
+    best_state = None  # one buffer per param, allocated at the first improvement
     stale = 0
     for _epoch in range(epochs):
         block_losses = {}
@@ -228,7 +228,10 @@ def train_jecl(
             trace.validation.append(val)
             if val < best_val - 1e-12:
                 best_val = val
-                best_state = _snapshot(model)
+                if best_state is None:
+                    best_state = [np.empty_like(p.value) for p in all_params]
+                for saved, p in zip(best_state, all_params):
+                    np.copyto(saved, p.value)
                 stale = 0
             else:
                 stale += 1
@@ -236,7 +239,8 @@ def train_jecl(
                     break
 
     if best_state is not None:
-        _restore(model, best_state)
+        for p, saved in zip(all_params, best_state):
+            np.copyto(p.value, saved)
     trace.steps = {
         "shared": opt.steps_taken(model.blocks[0].shared_params()[0]),
         "private": {
@@ -245,21 +249,6 @@ def train_jecl(
     }
     model.trained = True
     return trace
-
-
-def _snapshot(model):
-    return [p.value.copy() for p in _all_params(model)]
-
-
-def _restore(model, state):
-    for p, saved in zip(_all_params(model), state):
-        p.value[...] = saved
-
-
-def _all_params(model):
-    return unique_params(
-        p for block in model.blocks for p in block.private_params() + block.shared_params()
-    )
 
 
 def embed(model, x):

@@ -198,15 +198,13 @@ def load_mbpls(path):
     return load_checkpoint(path, "mbpls", (MbplsModel,))
 
 
-def tune_lv(blocks, target, lv_grid=None, folds=5, seed=0):
-    """Pick the LV count minimizing cross-validated prediction error.
+def tune_lv(blocks, target, lv_grid, folds=5, seed=0):
+    """Pick the LV count in ``lv_grid`` minimizing cross-validated prediction error.
 
-    The default grid is 40..120 step 2; grid values are clipped to what
-    the fold sizes and data rank admit.  Ties break to the smallest K.
-    Raises ``ShapeError`` when the fold sizes admit no LV count.
+    Grid values are clipped to what the fold sizes and data rank admit.
+    Ties break to the smallest K.  Raises ``ShapeError`` when the fold
+    sizes admit no LV count.
     """
-    if lv_grid is None:
-        lv_grid = list(range(40, 121, 2))
     mats = _stack_blocks(blocks)
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n = y.shape[0]

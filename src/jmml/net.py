@@ -1,11 +1,14 @@
 """Minimal dense-network kernel: parameters, layers, forward/backward, Adam.
 
-Everything runs in float64 on numpy.  Layers hold :class:`Param` objects;
-installing the same Param pair into several networks gives exact weight
-tying (one value array, one gradient accumulator).
+Everything runs in float64 on numpy.  Layers and nets are plain
+dataclasses over :class:`Param` objects; placing the same layer in several
+networks gives exact weight tying (one value array, one gradient
+accumulator).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +50,19 @@ def glorot_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+@dataclass(eq=False)
 class DenseLayer:
     """Fully connected layer ``act(x @ w + b)``."""
 
-    def __init__(self, w: Param, b: Param, activation="relu"):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if w.value.ndim != 2 or b.value.shape != (w.value.shape[1],):
+    w: Param
+    b: Param
+    activation: str = "relu"
+
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.w.value.ndim != 2 or self.b.value.shape != (self.w.value.shape[1],):
             raise ShapeError("weight must be (in, out) and bias (out,)")
-        self.w = w
-        self.b = b
-        self.activation = activation
 
     @classmethod
     def create(cls, in_dim, out_dim, activation, rng, name=""):
@@ -91,19 +96,17 @@ class DenseLayer:
         return grad_out @ self.w.value.T
 
 
-def tied_copy(layer: DenseLayer):
-    """A layer sharing the exact Param objects of ``layer``."""
-    return DenseLayer(layer.w, layer.b, layer.activation)
-
-
+@dataclass(eq=False)
 class DenseNet:
     """A stack of dense layers with cached-activation forward/backward."""
 
-    def __init__(self, layers):
-        for a, b in zip(layers, layers[1:]):
+    layers: list
+
+    def __post_init__(self):
+        self.layers = list(self.layers)
+        for a, b in zip(self.layers, self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
-        self.layers = list(layers)
 
     @classmethod
     def build(cls, dims, activations, rng, name="net"):
@@ -123,18 +126,13 @@ class DenseNet:
         return unique_params(p for layer in self.layers for p in (layer.w, layer.b))
 
     def forward(self, x):
-        """Return the list of activations per layer (input first)."""
+        """Activations per layer (input first) of a (batch, input_dim) matrix."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.input_dim:
-            raise ShapeError(f"input dim {x.shape[1]} != expected {self.input_dim}")
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(f"input shape {x.shape} is not (batch, {self.input_dim})")
         acts = [x]
         for layer in self.layers:
             acts.append(layer.forward(acts[-1]))
-        if squeeze:
-            return [a[0] for a in acts]
         return acts
 
     def __call__(self, x):

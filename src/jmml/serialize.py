@@ -1,18 +1,18 @@
 """Versioned JSON checkpoints: one structural codec for every model.
 
-A model is written as its own structure.  A dataclass is its type name
-plus its init fields, a ``DenseNet`` its layers, a ``DenseLayer`` its
-activation plus references to its ``w`` and ``b``; lists and tuples are
-tagged so each comes back as what it was; JSON scalars and ``None`` pass
-through.  Every ``Param`` and ndarray is stored once in an array registry
-keyed by object identity, so weight tying survives a round trip.  An entry
-holds the raw little-endian float64 bytes in base64, the shape and the
-Param name (``None`` for a plain array), so values round-trip bit for bit.
+A model is written as its own structure.  A dataclass, networks and
+layers included, is its type name plus its init fields; lists and tuples
+are tagged so each comes back as what it was; JSON scalars and ``None``
+pass through.  Every ``Param`` and ndarray is stored once in an array
+registry keyed by object identity, so weight tying survives a round trip.
+An entry holds the raw little-endian float64 bytes in base64, the shape
+and the Param name (``None`` for a plain array), so values round-trip bit
+for bit.
 
-The decoder builds only the dataclasses its caller names and raises
-``ValueError`` on an unknown type or tag, or on an entry whose byte count
-does not match its shape; the encoder raises ``TypeError`` on anything it
-cannot write exactly.
+The decoder builds only ``DenseLayer``, ``DenseNet`` and the dataclasses
+its caller names, and raises ``ValueError`` on an unknown type or tag, or
+on an entry whose byte count does not match its shape; the encoder raises
+``TypeError`` on anything it cannot write exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .net import DenseLayer, DenseNet, Param
 
 FORMAT = "jmml-checkpoint"
-VERSION = 2
+VERSION = 3
 
 
 def save_checkpoint(path, kind, model):
@@ -53,10 +53,6 @@ def save_checkpoint(path, kind, model):
             return ["ref", ref(obj)]
         if type(obj) in (list, tuple):
             return [type(obj).__name__, [encode(x) for x in obj]]
-        if isinstance(obj, DenseLayer):
-            return ["layer", [obj.activation, ref(obj.w), ref(obj.b)]]
-        if isinstance(obj, DenseNet):
-            return ["net", [encode(layer) for layer in obj.layers]]
         if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             fields = {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init}
             return ["dataclass", [type(obj).__name__, fields]]
@@ -69,7 +65,8 @@ def save_checkpoint(path, kind, model):
 
 
 def load_checkpoint(path, kind, types):
-    """Read a checkpoint of ``kind``; ``types`` are the dataclasses it may hold."""
+    """Read a checkpoint of ``kind``; ``types`` are the dataclasses it may
+    hold besides layers and nets."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
@@ -78,7 +75,7 @@ def load_checkpoint(path, kind, types):
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     if doc.get("kind") != kind:
         raise ValueError(f"expected checkpoint kind {kind!r}, got {doc.get('kind')!r}")
-    by_name = {cls.__name__: cls for cls in types}
+    by_name = {cls.__name__: cls for cls in (DenseLayer, DenseNet, *types)}
     objects = [_decode_entry(e) for e in doc["arrays"]]
 
     def decode(node):
@@ -91,11 +88,6 @@ def load_checkpoint(path, kind, types):
             return [decode(x) for x in payload]
         if tag == "tuple":
             return tuple(decode(x) for x in payload)
-        if tag == "layer":
-            activation, w, b = payload
-            return DenseLayer(objects[w], objects[b], activation)
-        if tag == "net":
-            return DenseNet([decode(x) for x in payload])
         if tag == "dataclass":
             name, fields = payload
             if name not in by_name:

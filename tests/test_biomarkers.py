@@ -22,7 +22,7 @@ from jmml.biomarkers import (
     petrosian_fd,
     spectral_entropy,
 )
-from jmml.errors import DegenerateSignal, ShapeError
+from jmml.errors import DegenerateSignal, FeatureOverflow, JmmlError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,25 @@ def test_feature_on_matrix_names_degenerate_channel(feature):
     with pytest.raises(DegenerateSignal) as exc:
         feature(channels[2])
     assert exc.value.channel is None
+
+
+@pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e307])
+def test_extract_trial_names_overflowing_feature_and_channel(amplitude):
+    # finite samples whose scale overflows float64 inside a feature: the
+    # first non-finite feature and its lowest channel are named
+    channels = np.clip(_noise_trial().channels, -1.0, 1.0)
+    channels[[2, 3]] *= amplitude
+    trial = EegTrial(channels)
+    cases = [(FeatureSelection(), "hjorth_mobility")]
+    if amplitude == 1e307:
+        cases += [(FeatureSelection(temporal=("hfd", "pfd"), spectral=()), "hfd"),
+                  (FeatureSelection(temporal=()), "psi")]
+    for selection, feature in cases:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FeatureOverflow) as exc:
+            extract_trial(trial, selection)
+        assert isinstance(exc.value, JmmlError)
+        assert exc.value.channel == 2
+        assert str(exc.value) == f"{feature} is not finite (channel=2)"
 
 
 def test_feature_rejects_three_dimensional_input():

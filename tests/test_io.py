@@ -165,6 +165,16 @@ def test_config_partial_sections_keep_defaults(tmp_path):
     assert cfg.jecl == JeclConfig() and cfg.split == ExperimentConfig().split
 
 
+def test_config_lv_grid_from_yaml_list(tmp_path):
+    path = tmp_path / "grid.yaml"
+    path.write_text("mbpls: {tune: true, lv_grid: [4, 8, 16]}\n")
+    cfg = load_config(path)
+    assert cfg.mbpls == MbplsConfig(tune=True, lv_grid=(4, 8, 16))
+    assert MbplsConfig().lv_grid == tuple(range(40, 121, 2))
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
 def test_config_null_synth_section(tmp_path):
     path = tmp_path / "csv.yaml"
     path.write_text("synth: null\n")

@@ -5,7 +5,7 @@ import pytest
 
 from jmml.errors import NumericalError, ShapeError
 from jmml.losses import grad_check
-from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, tied_copy, zero_grads
+from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, zero_grads
 from jmml.serialize import load_checkpoint, save_checkpoint
 
 
@@ -57,15 +57,16 @@ def test_input_gradient_matches_fd():
 
 
 def test_weight_tying_shares_value_and_grad():
+    # one layer object placed in two nets: one value, one gradient accumulator
     rng = np.random.default_rng(2)
     layer = DenseLayer.create(3, 3, "relu", rng)
-    twin = tied_copy(layer)
-    assert twin.w is layer.w and twin.b is layer.b
+    first, second = DenseNet([layer]), DenseNet([layer, DenseLayer.create(3, 2, "linear", rng)])
+    assert second.params()[:2] == first.params() == [layer.w, layer.b]
     x = rng.standard_normal((2, 3))
     out = layer.forward(x)
-    layer.backward(x, out, np.ones_like(out))
+    first.backward([x, out], np.ones_like(out))
     g1 = layer.w.grad.copy()
-    twin.backward(x, out, np.ones_like(out))
+    second.layers[0].backward(x, out, np.ones_like(out))
     # second accumulation doubles the shared gradient
     np.testing.assert_allclose(layer.w.grad, 2.0 * g1)
 
@@ -73,11 +74,11 @@ def test_weight_tying_shares_value_and_grad():
 def test_params_deduplicates_tied_layers():
     rng = np.random.default_rng(3)
     shared = DenseLayer.create(4, 4, "relu", rng)
-    net = DenseNet([shared, tied_copy(shared)])
+    net = DenseNet([shared, shared])
     assert len(net.params()) == 2  # one w, one b
     # first-seen order survives the dedup
     other = DenseLayer.create(4, 4, "relu", rng)
-    net = DenseNet([other, shared, tied_copy(other), tied_copy(shared)])
+    net = DenseNet([other, shared, other, shared])
     assert [id(p) for p in net.params()] == [id(p) for p in (other.w, other.b, shared.w, shared.b)]
 
 
@@ -184,12 +185,20 @@ def test_shape_validation():
     net = DenseNet.build([3, 4, 2], ["relu", "linear"], rng)
     with pytest.raises(ShapeError):
         net.forward(np.zeros((2, 5)))
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros(3))  # a batch is a matrix, even of one row
+    with pytest.raises(ShapeError):
+        DenseNet([net.layers[1], net.layers[0]])
+    with pytest.raises(ShapeError):
+        DenseLayer(Param(np.zeros((3, 4))), Param(np.zeros(3)))
+    with pytest.raises(ValueError, match="activation"):
+        DenseLayer(Param(np.zeros((3, 4))), Param(np.zeros(4)), "tanh")
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     shared = DenseLayer.create(4, 4, "relu", rng)
-    net = DenseNet([DenseLayer.create(3, 4, "relu", rng), tied_copy(shared), shared])
+    net = DenseNet([DenseLayer.create(3, 4, "relu", rng), shared, shared])
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, "test", net)
     net2 = load_checkpoint(path, "test", ())

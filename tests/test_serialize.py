@@ -38,11 +38,6 @@ def _assert_same(a, b, seen):
         assert len(a) == len(b)
         for x, y in zip(a, b):
             _assert_same(x, y, seen)
-    elif isinstance(a, DenseNet):
-        _assert_same(a.layers, b.layers, seen)
-    elif isinstance(a, DenseLayer):
-        assert a.activation == b.activation
-        _assert_same([a.w, a.b], [b.w, b.b], seen)
     elif dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
             if f.init:
@@ -130,6 +125,33 @@ def test_version_1_file_rejected(tmp_path):
     _rewrite(path, lambda doc: doc.update(version=1))
     with pytest.raises(ValueError, match="version"):
         load_edcc(path)
+
+
+def test_version_2_file_rejected(tmp_path):
+    # version 2 wrote layers and nets under their own tags
+    model = build_jecl(input_dim=3, num_classes=2, seed=2)
+    path = tmp_path / "jecl.json"
+    save_jecl(model, path)
+    _rewrite(path, lambda doc: doc.update(version=2))
+    with pytest.raises(ValueError, match="version"):
+        load_jecl(path)
+
+
+def test_layers_and_nets_are_plain_dataclasses(tmp_path):
+    # no caller-named types needed: layers and nets are always decodable
+    rng = np.random.default_rng(6)
+    layer = DenseLayer.create(3, 3, "relu", rng)
+    net = DenseNet([layer, DenseLayer.create(3, 2, "linear", rng)])
+    path = tmp_path / "net.json"
+    save_checkpoint(path, "x", [net, layer])
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 3
+    net_node, layer_node = doc["model"][1]
+    assert net_node[1][0] == "DenseNet"
+    assert layer_node == ["dataclass", ["DenseLayer", {"w": ["ref", 0], "b": ["ref", 1], "activation": "relu"}]]
+    loaded = load_checkpoint(path, "x", ())
+    _assert_same([net, layer], loaded, {})
+    assert loaded[0].layers[0].w is loaded[1].w
 
 
 def test_wrong_kind_rejected(tmp_path):
