@@ -255,7 +255,8 @@ def dfa(signal):
         t = np.arange(size) - (size - 1) / 2.0
         trend = segs.mean(axis=-1, keepdims=True) + (segs @ t / (t @ t))[..., None] * t
         f.append(np.sqrt(np.mean((segs - trend) ** 2, axis=(-2, -1))))
-    f = np.stack(f, axis=-1)
+    # an overflowed fluctuation is NaN or inf, which the slope would drop as degenerate
+    f = _finite("dfa", np.stack(f, axis=-1))
     return _loglog_slope(np.log(sizes), np.log(np.where(f > 0.0, f, 1.0)), "DFA", keep=f > 0.0)
 
 
@@ -273,8 +274,10 @@ def hurst(signal):
         ok = s > 0.0
         # mean R/S over the boxes with spread; 0 (dropped below) when none has
         ratios = np.where(ok, r, 0.0) / np.where(ok, s, 1.0)
-        rs.append(np.sum(ratios, axis=-1) / np.maximum(ok.sum(axis=-1), 1))
-    rs = np.stack(rs, axis=-1)
+        mean_rs = np.sum(ratios, axis=-1) / np.maximum(ok.sum(axis=-1), 1)
+        # an overflowed range or spread leaves the R/S undefined, not 0
+        rs.append(np.where(np.isfinite(r).all(axis=-1) & np.isfinite(s).all(axis=-1), mean_rs, np.nan))
+    rs = _finite("hurst", np.stack(rs, axis=-1))
     return _loglog_slope(np.log(sizes), np.log(np.where(rs > 0.0, rs, 1.0)), "Hurst", keep=rs > 0.0)
 
 

@@ -8,22 +8,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import biomarkers, edcc, forest, io, jecl, mbpls
+from . import biomarkers, edcc, io, jecl, mbpls
 from .config import ExperimentConfig, load_config
-from .experiment import fit_cross_modal, fit_jecl, render_table, rows_to_json, run_experiment
-from .pipeline import (
-    Dataset,
-    SplitSpec,
-    SynthSpec,
-    mco_oversample,
-    pair_by_label,
-    stratified_split,
-    synth_bimodal,
-)
+from .errors import JmmlError
+from .experiment import (classify, fit_cross_modal, fit_jecl, fit_pls, render_table,
+                         rows_to_json, run_experiment)
+from .pipeline import Dataset, mco_oversample, pair_by_label, stratified_split, synth_bimodal
+
+
+def _config(args):
+    """The verb's ``--config`` YAML, or the defaults without one."""
+    return load_config(args.config) if args.config else ExperimentConfig()
 
 
 def cmd_extract(args):
@@ -44,24 +43,17 @@ def cmd_extract(args):
 
 
 def cmd_synth(args):
-    spec = SynthSpec(
-        n_per_class=args.n_per_class,
-        latent_dim=args.latent_dim,
-        dims=(args.d1, args.d2),
-        noise=args.noise,
-        seed=args.seed,
-    )
-    ds1, ds2 = synth_bimodal(spec, dimension=args.dimension)
+    config = _config(args)
+    if config.synth is None:
+        raise JmmlError("synth: the config's synth section is null")
+    ds1, ds2 = synth_bimodal(config.synth, config.dimension)
     io.write_feature_csv(args.out1, ds1)
     io.write_feature_csv(args.out2, ds2)
-    if args.spec_out:
-        with open(args.spec_out, "w") as fh:
-            json.dump(asdict(spec), fh, indent=2)
     print(f"wrote {len(ds1)} + {len(ds2)} samples to {args.out1}, {args.out2}")
 
 
 def cmd_train_jecl(args):
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _config(args)
     ds = io.read_feature_csv(args.features, args.modality, args.dimension)
     model, trace = fit_jecl(ds.x, ds.y, config.jecl, args.seed)
     jecl.save_jecl(model, args.out)
@@ -71,15 +63,14 @@ def cmd_train_jecl(args):
 def cmd_fit_mbpls(args):
     model = jecl.load_jecl(args.jecl)
     ds = io.read_feature_csv(args.features, args.modality, args.dimension)
-    blocks = jecl.embed_blocks(model, ds.x)
-    k = min(args.components, ds.x.shape[0] - 1, model.num_classes * ds.dim)
-    pls = mbpls.fit(blocks, ds.x, k)
+    modality = ("eeg", "speech").index(args.modality)
+    pls = fit_pls(jecl.embed_blocks(model, ds.x), ds.x, _config(args).mbpls, modality, args.seed)
     mbpls.save_mbpls(pls, args.out)
     print(f"fitted {pls.n_components} LVs; residual {pls.residual_norm:.4f}; saved {args.out}")
 
 
 def cmd_train_jmml(args):
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _config(args)
     ds1 = io.read_feature_csv(args.features1, "eeg", args.dimension)
     ds2 = io.read_feature_csv(args.features2, "speech", args.dimension)
     pairs = pair_by_label(ds1, ds2, seed=args.seed)
@@ -89,20 +80,16 @@ def cmd_train_jmml(args):
 
 
 def cmd_evaluate(args):
+    config = _config(args)
     ds = io.read_feature_csv(args.features, args.modality, args.dimension)
-    train, _val, test = stratified_split(ds, SplitSpec(seed=args.seed))
+    train, _val, test = stratified_split(ds, replace(config.split, seed=args.seed))
     train = mco_oversample(train, seed=args.seed + 1)
-    if args.grid_search:
-        n_est, depth = forest.grid_search(train.x, train.y, seed=args.seed)
-    else:
-        n_est, depth = args.n_estimators, args.max_depth
-    clf = forest.fit_rf(train.x, train.y, n_est, depth, seed=args.seed)
-    report = forest.evaluate(test.y, forest.predict(clf, test.x), average=args.f1_average)
+    report = classify(train.x, train.y, test.x, test.y, config.rf, args.seed)
     print(json.dumps(report.to_dict(), indent=2))
 
 
 def cmd_run(args):
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    config = _config(args)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     rows = run_experiment(config)
@@ -132,14 +119,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate the synthetic bimodal benchmark")
     p.add_argument("--out1", default="modality1.csv")
     p.add_argument("--out2", default="modality2.csv")
-    p.add_argument("--spec-out", default=None)
-    p.add_argument("--n-per-class", type=int, default=500)
-    p.add_argument("--latent-dim", type=int, default=6)
-    p.add_argument("--d1", type=int, default=64)
-    p.add_argument("--d2", type=int, default=32)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dimension", choices=("valence", "arousal"), default="valence")
+    p.add_argument("--config", default=None, help="YAML whose synth section and dimension are written")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-jecl", help="train per-class joint emotion blocks")
@@ -156,7 +136,8 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--modality", choices=("eeg", "speech"), default="eeg")
     p.add_argument("--dimension", default=None)
-    p.add_argument("--components", type=int, default=40)
+    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_mbpls)
 
@@ -173,10 +154,7 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--modality", choices=("eeg", "speech"), default="eeg")
     p.add_argument("--dimension", default=None)
-    p.add_argument("--n-estimators", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--grid-search", action="store_true")
-    p.add_argument("--f1-average", choices=("macro", "weighted", "positive"), default="macro")
+    p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 

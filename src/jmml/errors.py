@@ -36,7 +36,7 @@ class NumericalError(JmmlError):
 
 
 class EmptyClassError(JmmlError):
-    """A class label has no samples where at least one is required."""
+    """A class label has too few samples for the step that needs it."""
 
 
 class SingleClassError(JmmlError):

@@ -85,11 +85,12 @@ class _Standardizer:
 
 @contextmanager
 def _stage(name):
-    """Tag any library error with the pipeline stage it came from."""
+    """Tag any library error with its pipeline stage; the error keeps its type."""
     try:
         yield
     except JmmlError as err:
-        raise JmmlError(f"[stage={name}] {err}") from err
+        err.args = (f"[stage={name}] {err}",)
+        raise
 
 
 def fit_jecl(x, y, jecl_cfg, seed):
@@ -128,25 +129,42 @@ def fit_cross_modal(pairs, scale_sets, edcc_cfg, seed):
     return model, trace
 
 
+def fit_pls(blocks, target, mbpls_cfg, modality, seed):
+    """MBPLS stage: the LV count is tuned or taken from the config (a pair
+    is indexed by ``modality``), clipped to min(n - 1, total block dim)."""
+    if mbpls_cfg.tune:
+        k = mbpls.tune_lv(blocks, target, mbpls_cfg.lv_grid, folds=mbpls_cfg.folds, seed=seed)
+    else:
+        k = mbpls_cfg.n_components
+        if np.iterable(k):
+            k = k[modality]
+    k = min(k, len(target) - 1, sum(b.shape[1] for b in blocks))
+    return mbpls.fit(blocks, target, k)
+
+
+def classify(train_x, train_y, test_x, test_y, rf_cfg, seed):
+    """Random-forest stage: fit at the configured (or grid-searched) size,
+    evaluate on the test rows; returns the ``EvalReport``."""
+    if rf_cfg.grid_search:
+        n_est, depth = forest.grid_search(
+            train_x, train_y, rf_cfg.estimator_grid, rf_cfg.depth_grid,
+            folds=rf_cfg.folds, seed=seed + 7,
+        )
+    else:
+        n_est, depth = rf_cfg.n_estimators, rf_cfg.max_depth
+    clf = forest.fit_rf(train_x, train_y, n_est, depth, seed=seed + 8)
+    return forest.evaluate(test_y, forest.predict(clf, test_x), average=rf_cfg.f1_average)
+
+
 def jec_ssl_transform(train_x, train_y, test_x, config, seed, modality=0):
     """Fit the intra-modal chain on training data; return transformed
     (train, test) feature matrices."""
     scaler = _Standardizer(train_x)
     xs_train = scaler(train_x)
-    xs_test = scaler(test_x)
     model, _trace = fit_jecl(xs_train, train_y, config.jecl, seed)
     blocks_train = jecl.embed_blocks(model, xs_train)
-    blocks_test = jecl.embed_blocks(model, xs_test)
-    n, d = xs_train.shape
-    if config.mbpls.tune:
-        k = mbpls.tune_lv(blocks_train, xs_train, config.mbpls.lv_grid,
-                          folds=config.mbpls.folds, seed=seed)
-    else:
-        k_cfg = config.mbpls.n_components
-        if np.iterable(k_cfg):
-            k_cfg = k_cfg[modality]
-        k = min(k_cfg, n - 1, 2 * d)
-    pls = mbpls.fit(blocks_train, xs_train, k)
+    pls = fit_pls(blocks_train, xs_train, config.mbpls, modality, seed)
+    blocks_test = jecl.embed_blocks(model, scaler(test_x))
     return mbpls.predict(pls, blocks_train), mbpls.predict(pls, blocks_test)
 
 
@@ -204,20 +222,14 @@ def run_experiment(config: ExperimentConfig):
 
     if "baseline_edcc" in setups:
         with _stage("baseline_edcc"):
-            pairs = make_pairs(pool1, pool2)
-            train_sets = [pools[m].x for m in range(2)]
-            test_sets = [tests[m].x for m in range(2)]
             reps["baseline_edcc"] = cross_modal_features(
-                pairs, train_sets, test_sets, config, seed + 3
+                make_pairs(pool1, pool2), (pool1.x, pool2.x), (test1.x, test2.x), config, seed + 3
             )
 
     if "jmml" in setups:
         with _stage("jmml"):
-            tr1, te1 = reps["jec_ssl"][0]
-            tr2, te2 = reps["jec_ssl"][1]
-            p1 = replace(pool1, x=tr1)
-            p2 = replace(pool2, x=tr2)
-            pairs = make_pairs(p1, p2)
+            (tr1, te1), (tr2, te2) = reps["jec_ssl"]
+            pairs = make_pairs(replace(pool1, x=tr1), replace(pool2, x=tr2))
             reps["jmml"] = cross_modal_features(pairs, (tr1, tr2), (te1, te2), config, seed + 4)
 
     rows = []
@@ -225,17 +237,7 @@ def run_experiment(config: ExperimentConfig):
         for m in range(2):
             with _stage(f"classify:{setup}:m{m + 1}"):
                 train_feats, test_feats = reps[setup][m]
-                rf_cfg = config.rf
-                if rf_cfg.grid_search:
-                    n_est, depth = forest.grid_search(
-                        train_feats, pools[m].y, rf_cfg.estimator_grid, rf_cfg.depth_grid,
-                        folds=rf_cfg.folds, seed=seed + 7,
-                    )
-                else:
-                    n_est, depth = rf_cfg.n_estimators, rf_cfg.max_depth
-                clf = forest.fit_rf(train_feats, pools[m].y, n_est, depth, seed=seed + 8)
-                pred = forest.predict(clf, test_feats)
-                report = forest.evaluate(tests[m].y, pred, average=rf_cfg.f1_average)
+                report = classify(train_feats, pools[m].y, test_feats, tests[m].y, config.rf, seed)
             rows.append(
                 ReportRow(setup, m + 1, input_descriptor(setup, m + 1), report.accuracy, report.f1)
             )

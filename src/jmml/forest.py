@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingleClassError
-from .pipeline import NEG, POS, kfold
+from .pipeline import NEG, POS, cv_select
 
 
 @dataclass
@@ -247,21 +247,15 @@ def grid_search(x, y, estimator_grid=(50, 100, 200), depth_grid=(4, 8, 16), fold
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y)
-    splits = kfold(x.shape[0], folds, np.random.default_rng(seed))
-    best = None
-    best_f1 = -np.inf
-    for n_est in sorted(estimator_grid):
-        for depth in sorted(depth_grid):
-            scores = []
-            for train_idx, test_idx in splits:
-                if len(np.unique(y[train_idx])) < 2:
-                    continue
-                forest = fit_rf(x[train_idx], y[train_idx], n_est, depth, seed=seed)
-                scores.append(evaluate(y[test_idx], predict(forest, x[test_idx])).f1)
-            mean_f1 = float(np.mean(scores)) if scores else -np.inf
-            if mean_f1 > best_f1 + 1e-12:
-                best_f1 = mean_f1
-                best = (n_est, depth)
+
+    def neg_f1(size, train_idx, test_idx):
+        if len(np.unique(y[train_idx])) < 2:
+            return None
+        forest = fit_rf(x[train_idx], y[train_idx], *size, seed=seed)
+        return -evaluate(y[test_idx], predict(forest, x[test_idx])).f1
+
+    sizes = [(n_est, depth) for n_est in sorted(estimator_grid) for depth in sorted(depth_grid)]
+    best = cv_select(sizes, x.shape[0], folds, seed, neg_f1)
     if best is None:
         raise SingleClassError("forest grid search: no fold's training part holds both classes")
     return best

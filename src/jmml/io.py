@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .biomarkers import EegTrial
-from .errors import LabelError
+from .errors import LabelError, NumericalError
 from .pipeline import Dataset
 
 MAGIC = b"JMMLEEG1"
@@ -60,7 +60,8 @@ def read_feature_csv(path, modality="eeg", dimension=None):
     """Load a feature CSV as a :class:`Dataset`.
 
     ``dimension`` filters rows to one axis; None keeps all rows but
-    requires the file to be single-axis.
+    requires the file to be single-axis.  A NaN or inf value raises
+    ``NumericalError`` naming the first row id that holds one.
     """
     ids, labels, rows, dims = [], [], [], set()
     with open(path, newline="") as fh:
@@ -82,7 +83,11 @@ def read_feature_csv(path, modality="eeg", dimension=None):
         if len(dims) > 1:
             raise ValueError(f"{path}: mixes axes {sorted(dims)}; pass dimension=")
         dimension = dims.pop()
-    return Dataset(np.array(rows), np.array(labels), np.array(ids), modality, dimension)
+    x = np.array(rows)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"{path}: non-finite feature value in row id {ids[np.argmax(bad)]!r}")
+    return Dataset(x, np.array(labels), np.array(ids), modality, dimension)
 
 
 def write_trials(path, trials, labels):

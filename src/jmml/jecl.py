@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClassError, ShapeError
+from .errors import DegenerateVector, EmptyClassError, ShapeError
 from .losses import loss_cosine_kld
 from .net import Adam, DenseLayer, DenseNet, Param, glorot_uniform, unique_params, zero_grads
 from .serialize import load_checkpoint, save_checkpoint
@@ -157,11 +157,16 @@ def block_loss(block, x, kld_weight=1.0, backward=False):
     """
     cache = block.forward(x)
     x2 = np.atleast_2d(x)
-    rep_ind = loss_cosine_kld(cache["rec_ind"], x2, block.centroid, kld_weight)
-    rep_sim = loss_cosine_kld(cache["rec_sim"], x2, block.centroid, kld_weight)
+    reps = []
+    for branch in ("ind", "sim"):
+        try:
+            reps.append(loss_cosine_kld(cache[f"rec_{branch}"], x2, block.centroid, kld_weight))
+        except DegenerateVector as err:  # e.g. every ReLU unit of the branch dead on a row
+            err.args = (f"block {block.class_id} {branch} branch: {err}",)
+            raise
     if backward:
-        block.backward(cache, rep_ind.grads[0], rep_sim.grads[0])
-    return rep_ind.value + rep_sim.value
+        block.backward(cache, reps[0].grads[0], reps[1].grads[0])
+    return reps[0].value + reps[1].value
 
 
 def train_jecl(

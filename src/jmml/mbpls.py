@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .pipeline import kfold
+from .pipeline import cv_select
 from .serialize import load_checkpoint, save_checkpoint
 
 
@@ -211,21 +211,14 @@ def tune_lv(blocks, target, lv_grid, folds=5, seed=0):
     p_total = sum(m.shape[1] for m in mats)
     rank_cap = min(n - (n // folds + 1) - 1, p_total)
     grid = sorted({min(k, rank_cap) for k in lv_grid if min(k, rank_cap) >= 1})
-    splits = kfold(n, folds, np.random.default_rng(seed))
 
-    best_k, best_err = None, np.inf
-    for k in grid:
-        errs = []
-        for train_idx, test_idx in splits:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                model = fit([m[train_idx] for m in mats], y[train_idx], k)
-            pred = predict(model, [m[test_idx] for m in mats])
-            errs.append(np.mean((y[test_idx] - pred) ** 2))
-        err = float(np.mean(errs))
-        if err < best_err - 1e-12:
-            best_err = err
-            best_k = k
+    def mse(k, train_idx, test_idx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = fit([m[train_idx] for m in mats], y[train_idx], k)
+        return np.mean((y[test_idx] - predict(model, [m[test_idx] for m in mats])) ** 2)
+
+    best_k = cv_select(grid, n, folds, seed, mse)
     if best_k is None:
         raise ShapeError(f"mbpls tune_lv: n={n} samples in folds={folds} admit no LV count")
     return best_k

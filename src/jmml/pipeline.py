@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LabelError, RangeError, SingleClassError
+from .errors import EmptyClassError, LabelError, RangeError, SingleClassError
 
 POS, NEG = "+", "-"
 
@@ -95,7 +95,7 @@ def stratified_split(dataset, spec=SplitSpec()):
     train_idx, val_idx, test_idx = [], [], []
     for label, idx in dataset.class_indices().items():
         if idx.size < 10:
-            raise ValueError(f"class {label} has {idx.size} samples; need >= 10")
+            raise EmptyClassError(f"class {label} has {idx.size} samples; need >= 10")
         order = idx[rng.permutation(idx.size)]
         n_test = int(round(spec.test_frac * idx.size))
         n_val = int(round(spec.val_frac_of_train * (idx.size - n_test)))
@@ -136,6 +136,22 @@ def kfold(n, folds, rng):
     """
     parts = np.array_split(rng.permutation(n), folds)
     return [(np.concatenate(parts[:f] + parts[f + 1:]), test) for f, test in enumerate(parts)]
+
+
+def cv_select(candidates, n, folds, seed, loss):
+    """The candidate with the lowest mean ``loss(candidate, train_idx, test_idx)``
+    over ``kfold(n, folds, np.random.default_rng(seed))``.
+
+    A fold whose loss is None is skipped.  A later candidate must win by
+    more than 1e-12, so ties go to the earliest.  None if no fold scored.
+    """
+    splits = kfold(n, folds, np.random.default_rng(seed))
+    best, best_loss = None, np.inf
+    for cand in candidates:
+        scores = [s for s in (loss(cand, tr, te) for tr, te in splits) if s is not None]
+        if scores and (mean := float(np.mean(scores))) < best_loss - 1e-12:
+            best, best_loss = cand, mean
+    return best
 
 
 def resample_to_size(dataset, n, seed=0):

@@ -9,6 +9,8 @@ import importlib.util
 from pathlib import Path
 
 from jmml import experiment
+from jmml.config import EdccConfig, ExperimentConfig, JeclConfig, MbplsConfig, RfConfig
+from jmml.pipeline import SynthSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,3 +34,25 @@ def test_tracer_installs_and_restores_every_pipeline_entry_point():
         tracer.uninstall()
     for name, fn in originals.items():
         assert getattr(experiment, name) is fn, name
+
+
+def test_traced_run_records_every_stage_span():
+    # a stage called around the tracer's patch points would record no calls
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    config = ExperimentConfig(
+        synth=SynthSpec(n_per_class=20, latent_dim=3, dims=(6, 5)),
+        jecl=JeclConfig(epochs=2), mbpls=MbplsConfig(n_components=4),
+        edcc=EdccConfig(epochs=1), rf=RfConfig(n_estimators=3, max_depth=3),
+    )
+    tracer.install()
+    try:
+        rows = experiment.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert len(rows) == 8
+    calls = {layer: agg[2] for layer, agg in tracer.agg["setup"].items()}
+    assert calls.get("forest.fit") == 8  # one forest per (setup, modality)
+    assert calls.get("mbpls.fit") == 2  # one projection per modality
+    assert calls.get("jecl.train") == 2
+    assert calls.get("edcc.train") == 2  # baseline_edcc and jmml

@@ -355,6 +355,8 @@ def test_extract_trial_names_overflowing_feature_and_channel(amplitude):
     channels[[2, 3]] *= amplitude
     trial = EegTrial(channels)
     cases = [(FeatureSelection(), "hjorth_mobility")]
+    # hurst/dfa: an overflowed scale must not pass for a degenerate one
+    cases += [(FeatureSelection(temporal=(name,), spectral=()), name) for name in ("hurst", "dfa")]
     if amplitude == 1e307:
         cases += [(FeatureSelection(temporal=("hfd", "pfd"), spectral=()), "hfd"),
                   (FeatureSelection(temporal=()), "psi")]

@@ -1,16 +1,24 @@
 """End-to-end CLI verb coverage through main()."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jmml import edcc, jecl
+from jmml import edcc, jecl, mbpls
 from jmml.biomarkers import EegTrial
 from jmml.cli import main
-from jmml.config import load_config
+from jmml.config import ExperimentConfig, load_config
+from jmml.experiment import classify
 from jmml.io import read_feature_csv, write_feature_csv, write_trials
-from jmml.pipeline import SynthSpec, pair_by_label, synth_bimodal
+from jmml.pipeline import (
+    SynthSpec,
+    mco_oversample,
+    pair_by_label,
+    stratified_split,
+    synth_bimodal,
+)
 
 
 @pytest.fixture
@@ -24,17 +32,43 @@ def synth_csvs(tmp_path):
 
 def test_synth_verb(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    spec_out = tmp_path / "spec.json"
-    rc = main([
-        "synth", "--out1", str(out1), "--out2", str(out2),
-        "--spec-out", str(spec_out), "--n-per-class", "20",
-        "--d1", "8", "--d2", "6", "--seed", "1",
-    ])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("synth: {n_per_class: 20, dims: [8, 6], seed: 1}\n")
+    rc = main(["synth", "--config", str(cfg), "--out1", str(out1), "--out2", str(out2)])
     assert rc == 0
     ds = read_feature_csv(out1)
     assert len(ds) == 40 and ds.dim == 8
-    spec = json.loads(spec_out.read_text())
-    assert spec["n_per_class"] == 20
+
+
+@pytest.mark.parametrize("yaml_text", [
+    None,  # no config: the default SynthSpec
+    "dimension: arousal\n"
+    "synth: {n_per_class: 25, latent_dim: 3, dims: [7, 5], noise: 0.5, seed: 9,"
+    " class_separation: 2.5, modality_noise: [0.3, 2.0]}\n",
+])
+def test_synth_verb_writes_the_configured_corpus(tmp_path, capsys, yaml_text):
+    args = ["synth", "--out1", str(tmp_path / "a.csv"), "--out2", str(tmp_path / "b.csv")]
+    if yaml_text is not None:
+        (tmp_path / "cfg.yaml").write_text(yaml_text)
+        args += ["--config", str(tmp_path / "cfg.yaml")]
+    assert main(args) == 0
+    config = load_config(str(tmp_path / "cfg.yaml")) if yaml_text else ExperimentConfig()
+    for name, ref in zip(("a.csv", "b.csv"), synth_bimodal(config.synth, config.dimension)):
+        back = read_feature_csv(tmp_path / name, ref.modality)
+        np.testing.assert_array_equal(back.x, ref.x)
+        np.testing.assert_array_equal(back.y, ref.y)
+        np.testing.assert_array_equal(back.ids, ref.ids)
+        assert back.dimension == config.dimension
+
+
+def test_synth_verb_rejects_a_config_without_synth_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("synth: null\n")
+    rc = main(["synth", "--config", str(cfg), "--out1", str(tmp_path / "a.csv"),
+               "--out2", str(tmp_path / "b.csv")])
+    assert rc == 1
+    assert "synth section is null" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_extract_verb(tmp_path, capsys):
@@ -59,11 +93,25 @@ def test_train_jecl_and_fit_mbpls_verbs(tmp_path, synth_csvs, capsys):
     ])
     assert rc == 0 and model_path.exists()
     pls_path = tmp_path / "mbpls.json"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("mbpls: {n_components: 6}\n")
     rc = main([
         "fit-mbpls", "--jecl", str(model_path), "--features", p1,
-        "--components", "6", "--out", str(pls_path),
+        "--config", str(cfg), "--out", str(pls_path),
     ])
     assert rc == 0 and pls_path.exists()
+
+
+def test_fit_mbpls_takes_the_modality_s_lv_count(tmp_path, synth_csvs, capsys):
+    _p1, p2 = synth_csvs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("jecl: {epochs: 3}\nmbpls: {n_components: [40, 6]}\n")
+    model_path, pls_path = tmp_path / "jecl.json", tmp_path / "mbpls.json"
+    assert main(["train-jecl", "--features", p2, "--modality", "speech", "--config", str(cfg),
+                 "--out", str(model_path)]) == 0
+    assert main(["fit-mbpls", "--jecl", str(model_path), "--features", p2, "--modality", "speech",
+                 "--config", str(cfg), "--out", str(pls_path)]) == 0
+    assert mbpls.load_mbpls(pls_path).n_components == 6
 
 
 def test_train_jecl_checkpoint_pins_config_mapping(tmp_path, synth_csvs, capsys):
@@ -133,12 +181,32 @@ def test_train_jmml_repairs_within_labels(tmp_path, synth_csvs, capsys):
         np.testing.assert_array_equal(a.value, b.value)
 
 
-def test_evaluate_verb(synth_csvs, capsys):
+def test_evaluate_verb(tmp_path, synth_csvs, capsys):
     p1, _ = synth_csvs
-    rc = main(["evaluate", "--features", p1, "--n-estimators", "10", "--max-depth", "4"])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("rf: {n_estimators: 10, max_depth: 4}\n")
+    rc = main(["evaluate", "--features", p1, "--config", str(cfg)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert {"accuracy", "f1", "confusion"} <= set(report)
+
+
+def test_evaluate_verb_matches_the_classify_stage(tmp_path, synth_csvs, capsys):
+    # the verb is the experiment's forest stage on one oversampled split
+    _p1, p2 = synth_csvs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("split: {test_frac: 0.3, train_frac: 0.7}\n"
+                   "rf: {grid_search: true, estimator_grid: [4, 8], depth_grid: [2, 3],"
+                   " folds: 3, f1_average: weighted}\n")
+    rc = main(["evaluate", "--features", p2, "--modality", "speech", "--config", str(cfg),
+               "--seed", "3"])
+    assert rc == 0
+    config = load_config(str(cfg))
+    ds = read_feature_csv(p2, "speech")
+    train, _val, test = stratified_split(ds, replace(config.split, seed=3))
+    train = mco_oversample(train, seed=4)
+    report = classify(train.x, train.y, test.x, test.y, config.rf, 3)
+    assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_run_verb(tmp_path, capsys):

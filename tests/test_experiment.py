@@ -1,6 +1,7 @@
 """Experiment runner: report schema, determinism, descriptors, stage tags."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from jmml.config import (
     MbplsConfig,
     RfConfig,
 )
-from jmml.errors import JmmlError
+from jmml.errors import EmptyClassError, JmmlError, NumericalError
 from jmml.experiment import (
     input_descriptor,
     render_table,
     rows_to_json,
     run_experiment,
 )
-from jmml.pipeline import SynthSpec
+from jmml.io import write_feature_csv
+from jmml.pipeline import SynthSpec, synth_bimodal
 
 
 def _small_config(seed=0, setup="all"):
@@ -89,6 +91,26 @@ def test_stage_tag_on_error():
     with pytest.raises(JmmlError) as exc:
         run_experiment(cfg)
     assert "[stage=data]" in str(exc.value)
+
+
+def test_stage_tag_keeps_the_error_type(tmp_path):
+    # a NaN in a feature CSV fails at load time as the typed error, tagged
+    paths = []
+    for m, ds in enumerate(synth_bimodal(SynthSpec(n_per_class=20, latent_dim=3, dims=(6, 5)))):
+        if m == 1:
+            ds.x[7, 2] = np.nan
+        paths.append(tmp_path / f"m{m + 1}.csv")
+        write_feature_csv(paths[-1], ds)
+    cfg = replace(_small_config(), synth=None, modality1_csv=str(paths[0]),
+                  modality2_csv=str(paths[1]))
+    with pytest.raises(NumericalError, match=r"^\[stage=data\] .*m2.csv: non-finite .* 'm2-00007'"):
+        run_experiment(cfg)
+
+
+def test_too_small_class_is_a_tagged_empty_class_error():
+    cfg = replace(_small_config(), synth=SynthSpec(n_per_class=5, latent_dim=4, dims=(14, 10)))
+    with pytest.raises(EmptyClassError, match=r"^\[stage=split\] class \+ has 5 samples"):
+        run_experiment(cfg)
 
 
 def test_jmml_reuses_jec_ssl_representations():

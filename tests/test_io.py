@@ -8,7 +8,7 @@ import pytest
 
 from jmml.biomarkers import EegTrial
 from jmml.config import ExperimentConfig, JeclConfig, MbplsConfig, load_config, save_config
-from jmml.errors import LabelError
+from jmml.errors import LabelError, NumericalError
 from jmml.io import (
     format_label,
     parse_label,
@@ -65,6 +65,21 @@ def test_feature_csv_bytes_match_per_scalar_repr(tmp_path):
     back = read_feature_csv(path)
     np.testing.assert_array_equal(back.x, ds.x)
     assert np.signbit(back.x[0, 0])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_feature_csv_rejects_non_finite_values(tmp_path, bad):
+    ds = _dataset(n=6, d=3)
+    path = tmp_path / "f.csv"
+    write_feature_csv(path, ds)
+    lines = path.read_text().splitlines()
+    for i in (3, 5):  # data rows 2 and 4
+        cells = lines[i].split(",")
+        cells[-1] = bad
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NumericalError, match=f"f.csv: non-finite feature value in row id '{ds.ids[2]}'"):
+        read_feature_csv(path)
 
 
 def test_feature_csv_dimension_filter(tmp_path):

@@ -4,7 +4,7 @@ embedding contracts and checkpointing."""
 import numpy as np
 import pytest
 
-from jmml.errors import EmptyClassError, ShapeError
+from jmml.errors import DegenerateVector, EmptyClassError, ShapeError
 from jmml.jecl import (
     block_loss,
     build_jecl,
@@ -231,6 +231,14 @@ def test_missing_class_rejected():
     model = build_jecl(input_dim=4, num_classes=2)
     with pytest.raises(EmptyClassError):
         train_jecl(model, {1: np.zeros((3, 4))}, epochs=1)
+
+
+def test_dead_branch_error_names_block_and_branch():
+    # too narrow to keep a ReLU unit alive on every row: a zero reconstruction
+    model = build_jecl(6, 3, setup="setup2", hidden=7, seed=1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DegenerateVector, match=r"^block 1 sim branch: cosine similarity undefined"):
+        train_jecl(model, {c: rng.standard_normal((30, 6)) + c for c in (1, 2, 3)}, epochs=50)
 
 
 def test_dim_mismatch_rejected():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmml.config import from_dict
-from jmml.errors import LabelError, RangeError, SingleClassError
+from jmml.errors import EmptyClassError, LabelError, RangeError, SingleClassError
 from jmml.forest import NEG, POS
 from jmml.pipeline import (
     Dataset,
@@ -17,6 +17,7 @@ from jmml.pipeline import (
     SynthSpec,
     audit_no_leakage,
     binarize_rating,
+    cv_select,
     kfold,
     mco_oversample,
     pair_by_label,
@@ -96,7 +97,7 @@ def test_split_deterministic_per_seed():
 
 def test_split_small_class_rejected():
     ds = _dataset(n_pos=5, n_neg=40)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyClassError, match="class \\+ has 5 samples"):
         stratified_split(ds)
 
 
@@ -169,6 +170,27 @@ def test_kfold_partitions_one_permutation():
         others = [t for g, (_tr, t) in enumerate(splits) if g != f]
         np.testing.assert_array_equal(train, np.concatenate(others))
         assert np.intersect1d(train, test).size == 0
+
+
+def test_cv_select_mean_loss_margin_and_skipped_folds():
+    def loss(cand, _train, test):
+        if cand == "skip" or (cand == "b" and test.size == 3):
+            return None  # every fold of "skip"; the two 3-row folds of "b"
+        return {"a": 2.0, "b": 1.0, "c": 1.0 - 1e-13, "d": 0.5 * test.size}[cand]
+
+    # "c" beats "b" by less than 1e-12; "d" averages 1.25 over all four folds
+    assert cv_select(["a", "skip", "b", "c", "d"], 10, 4, 0, loss) == "b"
+    assert cv_select(["skip", "d"], 10, 4, 0, loss) == "d"
+    assert cv_select(["skip"], 10, 4, 0, loss) is None
+
+
+def test_cv_select_uses_kfold_splits():
+    seen = []
+    cv_select([0], 23, 5, 4, lambda _c, train, test: seen.append((train, test)) or 0.0)
+    assert len(seen) == 5
+    for (tr, te), (tr_ref, te_ref) in zip(seen, kfold(23, 5, np.random.default_rng(4))):
+        np.testing.assert_array_equal(tr, tr_ref)
+        np.testing.assert_array_equal(te, te_ref)
 
 
 def test_audit_no_leakage():
