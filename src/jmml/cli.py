@@ -25,6 +25,14 @@ def _config(args):
     return load_config(args.config) if args.config else ExperimentConfig()
 
 
+def _read_features(path, modality, args, config):
+    """Read a feature CSV's rows on one axis: ``--dimension``, else the
+    ``--config`` YAML's ``dimension`` (the axis ``jmml run`` reads), else
+    the file's only axis."""
+    dimension = args.dimension or (config.dimension if args.config else None)
+    return io.read_feature_csv(path, modality, dimension)
+
+
 def cmd_extract(args):
     reader = io.read_trials_csv if args.format == "csv" else io.read_trials
     trials, labels = reader(args.trials)
@@ -54,25 +62,26 @@ def cmd_synth(args):
 
 def cmd_train_jecl(args):
     config = _config(args)
-    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
+    ds = _read_features(args.features, args.modality, args, config)
     model, trace = fit_jecl(ds.x, ds.y, config.jecl, args.seed)
     jecl.save_jecl(model, args.out)
     print(f"trained {len(trace.total)} epochs; final loss {trace.total[-1]:.4f}; saved {args.out}")
 
 
 def cmd_fit_mbpls(args):
+    config = _config(args)
     model = jecl.load_jecl(args.jecl)
-    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
+    ds = _read_features(args.features, args.modality, args, config)
     modality = ("eeg", "speech").index(args.modality)
-    pls = fit_pls(jecl.embed_blocks(model, ds.x), ds.x, _config(args).mbpls, modality, args.seed)
+    pls = fit_pls(jecl.embed_blocks(model, ds.x), ds.x, config.mbpls, modality, args.seed)
     mbpls.save_mbpls(pls, args.out)
     print(f"fitted {pls.n_components} LVs; residual {pls.residual_norm:.4f}; saved {args.out}")
 
 
 def cmd_train_jmml(args):
     config = _config(args)
-    ds1 = io.read_feature_csv(args.features1, "eeg", args.dimension)
-    ds2 = io.read_feature_csv(args.features2, "speech", args.dimension)
+    ds1 = _read_features(args.features1, "eeg", args, config)
+    ds2 = _read_features(args.features2, "speech", args, config)
     pairs = pair_by_label(ds1, ds2, seed=args.seed)
     model, trace = fit_cross_modal(pairs, (ds1.x, ds2.x), config.edcc, args.seed)
     edcc.save_edcc(model, args.out)
@@ -81,7 +90,7 @@ def cmd_train_jmml(args):
 
 def cmd_evaluate(args):
     config = _config(args)
-    ds = io.read_feature_csv(args.features, args.modality, args.dimension)
+    ds = _read_features(args.features, args.modality, args, config)
     train, _val, test = stratified_split(ds, replace(config.split, seed=args.seed))
     train = mco_oversample(train, seed=args.seed + 1)
     report = classify(train.x, train.y, test.x, test.y, config.rf, args.seed)

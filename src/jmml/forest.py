@@ -9,8 +9,21 @@ would reproduce the serial one).
 A tree is a set of flat node arrays (feature, threshold, left, right,
 class counts) in depth-first, left-first order.  A leaf points to itself
 on both sides and has threshold +inf, so a walk that reaches it stays
-there.  The split search scores all sampled features of a node in one
-vectorised pass.  A fitted forest also holds its trees concatenated into
+there.
+
+A forest's trees grow in lockstep.  Each tree keeps a depth-first stack
+and draws from its own generator, so on each step every unfinished tree
+takes its next splittable node and draws that node's features in the same
+order as a recursive fit would; then one segmented pass scores all those
+nodes together.  Every feature is ranked once per fit, so one integer sort
+of (segment, rank) keys orders every (node, sampled feature) segment, and
+running class counts with per-segment offsets give each Gini.  A bootstrap
+sample is held as distinct rows with copy counts.  The node arrays are
+bit-identical to a one-node-at-a-time fit.  Nodes are scored in chunks of
+at most ``CHUNK`` elements (nodes x sampled features x distinct rows), so
+scratch memory does not grow with the number of trees.
+
+A fitted forest also holds its trees concatenated into
 one set of arrays; ``predict`` walks every (row, tree) pair through them
 together, one level per step, for as many steps as the deepest leaf.
 Feature values must be finite: ``fit_rf`` and ``predict`` raise
@@ -54,71 +67,204 @@ class DecisionTree:
         self.depth = None        # depth of the deepest leaf
 
     def fit(self, x, y01, rng):
-        nodes = []
-        xt = np.ascontiguousarray(x.T)  # one row per feature: node samples gather contiguously
-        self.depth = self._grow(xt, np.arange(len(y01)), y01, 0, rng, nodes)
-        feature, threshold, left, right, neg, pos = zip(*nodes)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.counts = np.column_stack([neg, pos]).astype(np.int64)
+        _grow([self], x, y01, [np.ones(len(y01), dtype=np.intp)], [rng])
         return self
-
-    def _grow(self, xt, rows, y, depth, rng, nodes):
-        """Append the nodes of the subtree over samples ``rows`` (labels ``y``)
-        to ``nodes``; return its deepest leaf's depth."""
-        node = len(nodes)
-        n_pos = int(y.sum())
-        nodes.append([0, np.inf, node, node, len(y) - n_pos, n_pos])
-        if depth >= self.max_depth or len(y) < 2 or n_pos in (0, len(y)):
-            return depth
-        split = self._best_split(xt, rows, y, rng)
-        if split is None:
-            return depth
-        feat, thr = split
-        mask = xt[feat, rows] <= thr
-        nodes[node][:3] = feat, thr, node + 1
-        left_depth = self._grow(xt, rows[mask], y[mask], depth + 1, rng, nodes)
-        nodes[node][3] = len(nodes)
-        right_depth = self._grow(xt, rows[~mask], y[~mask], depth + 1, rng, nodes)
-        return max(left_depth, right_depth)
-
-    def _best_split(self, xt, rows, y, rng):
-        """(feature, threshold) of the lowest weighted Gini over the sampled
-        features, or None when every sampled feature is constant on ``rows``.
-        Ties go to the first sampled feature that reaches the minimum."""
-        d, n = xt.shape[0], len(rows)
-        n_try = max(1, int(np.sqrt(d)))
-        feats = rng.choice(d, size=n_try, replace=False)
-        tried = np.arange(n_try)[:, None]
-        vals = xt[feats[:, None], rows]
-        # Any sort kind gives the same split: reordering equal values changes
-        # the running class counts only between equal values, and those
-        # positions are masked out below.
-        order = np.argsort(vals, axis=1)
-        sv = vals[tried, order]
-        sy = y[order]
-        pos_left = np.cumsum(sy, axis=1)[:, :-1]
-        n_left = np.arange(1, n)
-        valid = sv[:, 1:] != sv[:, :-1]
-        pos_right = pos_left[:, -1:] + sy[:, -1:] - pos_left
-        n_right = n - n_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        gini = n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)
-        gini = np.where(valid, gini, np.inf)
-        at = np.argmin(gini, axis=1)
-        j = int(np.argmin(gini[tried[:, 0], at]))
-        i = at[j]
-        if not valid[j, i]:
-            return None
-        return int(feats[j]), float((sv[j, i] + sv[j, i + 1]) / 2.0)
 
     def predict_pos_votes(self, x):
         """Per-sample 0/1 vote (leaf majority, ties to the positive class)."""
         return _walk(x, self.feature, self.threshold, self.left, self.right, self.counts,
                      np.zeros(1, dtype=np.intp), self.depth)[:, 0]
+
+
+# Most scored elements (nodes x sampled features x distinct node rows) in
+# one pass; a step's nodes are scored in chunks of at most this many, so
+# scratch memory stays flat however many trees grow together.  A single
+# larger node is scored alone.
+CHUNK = 1 << 16
+
+
+def _grow(trees, x, y01, copies, rngs):
+    """Grow ``trees`` in lockstep: tree i over ``c[j]`` copies of each row j
+    of ``x``, where ``c`` is the i-th array that ``copies`` yields (a
+    bootstrap sample as counts), drawing its features from ``rngs[i]``.
+
+    Each tree walks its nodes depth first from its own stack.  On each step
+    every live tree pops nodes, settling leaves, until it reaches one it can
+    split, and draws that node's features; then all those nodes are scored
+    together (``_split``).  A tree's draws come in the same order as in a
+    recursive depth-first fit, so its node arrays are the same."""
+    n, d = x.shape
+    n_try = max(1, int(np.sqrt(d)))
+    xt = np.ascontiguousarray(x.T)  # one row per feature: node samples gather contiguously
+    # Rank every feature once over the n training rows.  ``flat_rank[f*n + i]``
+    # is f*n plus row i's rank in feature f, an index into the presorted
+    # values and labels of feature f.
+    order = np.argsort(xt, axis=1)
+    flat_rank = np.empty((d, n), dtype=np.intp)
+    np.put_along_axis(flat_rank, order, np.arange(d)[:, None] * n + np.arange(n), axis=1)
+    sorted_x = np.take_along_axis(xt, order, axis=1).ravel()
+    sorted_y = y01[order].ravel().astype(np.float64)  # labels as exact float counts
+
+    # per tree, one flat list of six values per node: feature, threshold, left, right, neg, pos
+    nodes = [[] for _ in trees]
+    depth = [0] * len(trees)
+    stacks = []                  # per tree: (rows, copies, depth, neg, pos, parent of a right child)
+    for c in copies:
+        rows = np.flatnonzero(c)
+        c = c[rows]
+        pos = int(c @ y01[rows])
+        stacks.append([(rows, c, 0, int(c.sum()) - pos, pos, -1)])
+    # Sort-key widths: rank, then copy count.  A chunk holds under 2**16
+    # segments, so a key needs about 16 + log2(d*n) + log2(copies) bits.
+    bits = (int(flat_rank.size).bit_length(), int(max(s[0][1].max() for s in stacks)).bit_length())
+    data = (n_try, xt, y01, flat_rank.ravel(), sorted_x, sorted_y, np.arange(max(CHUNK, n_try * n)), bits)
+    max_depth = trees[0].max_depth
+    live = range(len(trees))
+    while live:
+        batch, still = [], []
+        for i in live:
+            stack, tree_nodes = stacks[i], nodes[i]
+            while stack:
+                rows, c, level, neg, pos, parent = stack.pop()
+                node = len(tree_nodes) // 6
+                tree_nodes.extend((0, np.inf, node, node, neg, pos))
+                if parent >= 0:
+                    tree_nodes[6 * parent + 3] = node
+                depth[i] = max(depth[i], level)
+                if level < max_depth and neg and pos:
+                    feats = rngs[i].choice(d, size=n_try, replace=False)
+                    batch.append((i, node, rows, c, level, neg, pos, feats))
+                    still.append(i)
+                    break
+            else:  # tree i is finished: freeze its nodes into arrays
+                _freeze(trees[i], nodes[i], depth[i])
+                nodes[i] = None
+        live = still
+        chunks, size = [], CHUNK
+        for item in batch:
+            elements = n_try * len(item[2])
+            if size + elements > CHUNK:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(item)
+            size += elements
+        del batch
+        while chunks:  # each chunk's inputs are released as soon as it is split
+            _split(chunks.pop(), data, nodes, stacks)
+
+
+def _freeze(tree, nodes, depth):
+    nodes = np.array(nodes, dtype=np.float64).reshape(-1, 6)  # integers here are far below 2**53
+    tree.feature = nodes[:, 0].astype(np.intp)
+    tree.threshold = nodes[:, 1].copy()
+    tree.left = nodes[:, 2].astype(np.intp)
+    tree.right = nodes[:, 3].astype(np.intp)
+    tree.counts = nodes[:, 4:].astype(np.int64)
+    tree.depth = depth
+
+
+def _split(chunk, data, nodes, stacks):
+    """Score every (node, sampled feature) segment of ``chunk`` in one pass,
+    split the nodes that have a valid split, and push their children.
+
+    A node's split is the lowest weighted Gini over its sampled features;
+    ties go to the first sampled feature, then the first position.  A node
+    whose sampled features are all constant on its rows stays a leaf."""
+    n_try, xt, y01, flat_rank, sorted_x, sorted_y, index, (rank_bits, copy_bits) = data
+    tree, node, rows, copies, level, node_neg, node_pos, feats = zip(*chunk)
+    k = len(chunk)
+    m = np.array([len(r) for r in rows])
+    rows = np.concatenate(rows)
+    copies = np.concatenate(copies)
+    feats = np.concatenate(feats)              # segments are node-major
+    seg_len = np.repeat(m, n_try)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    size = int(seg_end[-1])
+    # Sort every segment's rows by their rank in the segment's feature at
+    # once, in one integer key: segment number, then rank, then the row's
+    # copy count, which rides along below the rank.
+    row_at = index[:size] - np.repeat(seg_start - np.repeat(np.cumsum(m) - m, n_try), seg_len)
+    key = rows[row_at]
+    key += np.repeat(feats * xt.shape[1], seg_len)
+    key = flat_rank[key]
+    key <<= copy_bits
+    key |= copies[row_at]
+    key |= np.repeat(np.arange(k * n_try) << (rank_bits + copy_bits), seg_len)
+    key.sort()
+    w = (key & ((1 << copy_bits) - 1)).astype(np.float64)
+    key >>= copy_bits
+    key &= (1 << rank_bits) - 1
+    sv = sorted_x[key]
+    sy = sorted_y[key]
+    del key, row_at
+    # Running sample and class counts restart at each segment.  Any order
+    # among equal values gives the same split: it changes the counts only
+    # between equal values, and those positions are masked out below.  The
+    # counts are exact integers held as floats, so the Gini below is the
+    # same expression on the same values as with integer counts.
+    sy *= w
+    pos_left = np.cumsum(sy)
+    pos_left -= np.repeat(pos_left[seg_start] - sy[seg_start], seg_len)
+    n_left = np.cumsum(w)
+    n_left -= np.repeat(n_left[seg_start] - w[seg_start], seg_len)
+    del sy, w
+    pos_right = np.repeat(np.array(node_pos, dtype=np.float64), n_try * m)
+    pos_right -= pos_left
+    n_right = np.repeat(np.add(node_neg, node_pos, dtype=np.float64), n_try * m)
+    n_right -= n_left
+    with np.errstate(divide="ignore", invalid="ignore"):  # a segment's last position has n_right = 0
+        pos_left /= n_left    # p_l
+        pos_right /= n_right  # p_r
+    # gini = n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)
+    n_left *= 2
+    n_left *= pos_left
+    np.subtract(1, pos_left, out=pos_left)
+    n_left *= pos_left
+    n_right *= 2
+    n_right *= pos_right
+    np.subtract(1, pos_right, out=pos_right)
+    n_right *= pos_right
+    gini = n_left
+    gini += n_right
+    invalid = np.empty(size, dtype=bool)
+    np.equal(sv[1:], sv[:-1], out=invalid[:-1])
+    invalid[seg_end - 1] = True
+    np.putmask(gini, invalid, np.inf)
+    # First minimum of each node's (n_try x m) block.
+    node_start = seg_start[::n_try]
+    best = np.minimum.reduceat(gini, node_start)
+    hits = np.flatnonzero(gini == np.repeat(best, n_try * m))
+    at = hits[np.searchsorted(hits, node_start)]
+    split = best < np.inf
+    at = at[split]
+    feature = np.zeros(k, dtype=np.intp)
+    threshold = np.full(k, np.inf)
+    feature[split] = feats[np.searchsorted(seg_end, at, side="right")]
+    threshold[split] = (sv[at] + sv[at + 1]) / 2.0
+
+    # Partition every node's rows at once: a stable sort by (node, side).
+    row_node = np.repeat(np.arange(k), m)
+    side = 2 * row_node + (xt[feature[row_node], rows] > threshold[row_node])
+    distinct = np.bincount(side, minlength=2 * k)
+    neg = np.bincount(side, copies * (1 - y01[rows]), minlength=2 * k).astype(np.int64).tolist()
+    pos = np.bincount(side, copies * y01[rows], minlength=2 * k).astype(np.int64).tolist()
+    order = np.argsort(side, kind="stable")
+    rows, copies = rows[order], copies[order]
+    end = np.cumsum(distinct).tolist()
+    distinct = distinct.tolist()
+    feature, threshold = feature.tolist(), threshold.tolist()
+    for j in np.flatnonzero(split).tolist():
+        stack, at_node, below = stacks[tree[j]], node[j], level[j] + 1
+        nodes[tree[j]][6 * at_node:6 * at_node + 3] = feature[j], threshold[j], at_node + 1
+        # The right child may wait many steps on the stack, so it gets its own
+        # copy rather than pinning this chunk's arrays; the left child is
+        # popped on the tree's next step.
+        r = 2 * j + 1
+        part = slice(end[r] - distinct[r], end[r])
+        stack.append((rows[part].copy(), copies[part].copy(), below, neg[r], pos[r], at_node))
+        part = slice(end[r - 1] - distinct[r - 1], end[r - 1])
+        stack.append((rows[part], copies[part], below, neg[r - 1], pos[r - 1], -1))
 
 
 def _walk(x, feature, threshold, left, right, counts, roots, steps):
@@ -185,13 +331,10 @@ def fit_rf(x, y, n_estimators=100, max_depth=8, seed=0):
         raise ValueError("need at least 1 tree")
     if len(np.unique(y01)) < 2:
         raise SingleClassError("training data contains a single class")
-    seeds = np.random.SeedSequence(seed).spawn(n_estimators)
-    trees = []
     n = x.shape[0]
-    for i in range(n_estimators):
-        rng = np.random.default_rng(seeds[i])
-        idx = rng.integers(0, n, size=n)
-        trees.append(DecisionTree(max_depth).fit(x[idx], y01[idx], rng))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_estimators)]
+    trees = [DecisionTree(max_depth) for _ in rngs]
+    _grow(trees, x, y01, (np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs), rngs)
     return RandomForest(trees, n_estimators, max_depth, seed, x.shape[1])
 
 

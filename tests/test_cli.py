@@ -209,6 +209,47 @@ def test_evaluate_verb_matches_the_classify_stage(tmp_path, synth_csvs, capsys):
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+@pytest.fixture
+def two_axis_csv(tmp_path):
+    """One feature CSV holding a valence corpus and an arousal corpus."""
+    spec = SynthSpec(n_per_class=30, latent_dim=4, dims=(10, 8), seed=0)
+    valence, _ = synth_bimodal(spec, "valence")
+    arousal, _ = synth_bimodal(replace(spec, seed=1), "arousal")
+    paths = [tmp_path / "valence.csv", tmp_path / "arousal.csv"]
+    write_feature_csv(paths[0], valence)
+    write_feature_csv(paths[1], arousal)
+    both = tmp_path / "both.csv"
+    lines = paths[0].read_text().splitlines(True) + paths[1].read_text().splitlines(True)[1:]
+    both.write_text("".join(lines))
+    return str(both)
+
+
+def _evaluate_expected(path, dimension, config, seed=0):
+    ds = read_feature_csv(path, "eeg", dimension)
+    train, _val, test = stratified_split(ds, replace(config.split, seed=seed))
+    train = mco_oversample(train, seed=seed + 1)
+    return json.dumps(classify(train.x, train.y, test.x, test.y, config.rf, seed).to_dict(), indent=2)
+
+
+def test_csv_verbs_read_the_config_dimension(tmp_path, two_axis_csv, capsys):
+    # without --dimension the verb reads the axis `jmml run` would read
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("dimension: arousal\nrf: {n_estimators: 6, max_depth: 3}\n")
+    assert main(["evaluate", "--features", two_axis_csv, "--config", str(cfg)]) == 0
+    config = load_config(str(cfg))
+    arousal = _evaluate_expected(two_axis_csv, "arousal", config)
+    assert capsys.readouterr().out == arousal + "\n"
+    # the flag overrides the config
+    assert main(["evaluate", "--features", two_axis_csv, "--config", str(cfg),
+                 "--dimension", "valence"]) == 0
+    valence = _evaluate_expected(two_axis_csv, "valence", config)
+    assert valence != arousal
+    assert capsys.readouterr().out == valence + "\n"
+    # with neither, a two-axis file is still refused
+    assert main(["evaluate", "--features", two_axis_csv]) == 1
+    assert "mixes axes" in capsys.readouterr().err
+
+
 def test_run_verb(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

@@ -1,10 +1,15 @@
 """Random forest and metrics: determinism, tie rules, metric oracles."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from jmml.config import ExperimentConfig
 from jmml.errors import NumericalError, ShapeError, SingleClassError
-from jmml.forest import NEG, POS, DecisionTree, evaluate, fit_rf, grid_search, predict
+from jmml.forest import NEG, POS, DecisionTree, _grow, evaluate, fit_rf, grid_search, predict
+from jmml.pipeline import mco_oversample, stratified_split, synth_bimodal
 
 
 def _blobs(n=60, d=4, seed=0, sep=2.0):
@@ -226,6 +231,94 @@ def test_forest_matches_reference(seed):
     np.testing.assert_array_equal(batch, expected)
     for i, row in enumerate(x_test):
         assert predict(forest, row)[0] == batch[i]
+
+
+def _ref_forest(x, y01, n_estimators, max_depth, seed):
+    """What ``fit_rf`` must grow, one recursive reference fit per tree, and
+    each tree's generator as that fit leaves it."""
+    refs, rngs = [], []
+    for ss in np.random.SeedSequence(seed).spawn(n_estimators):
+        rng = np.random.default_rng(ss)
+        idx = rng.integers(0, len(y01), size=len(y01))
+        refs.append(_ref_grow(x[idx], y01[idx], 0, max_depth, rng))
+        rngs.append(rng)
+    return refs, rngs
+
+
+def _check_lockstep(x, y01, n_estimators, max_depth, seed):
+    """``fit_rf`` and the lockstep grower it calls match the reference tree
+    by tree, and leave every tree's generator where the reference does."""
+    refs, ref_rngs = _ref_forest(x, y01, n_estimators, max_depth, seed)
+    labels = np.where(y01 == 1, POS, NEG)
+    forest = fit_rf(x, labels, n_estimators=n_estimators, max_depth=max_depth, seed=seed)
+    assert [_as_nested(t) for t in forest.trees] == refs
+    assert [t.depth for t in forest.trees] == [_tree_depth(r) for r in refs]
+    # the same growth with the generators in hand, to check their end state
+    n = len(y01)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_estimators)]
+    trees = [DecisionTree(max_depth) for _ in rngs]
+    _grow(trees, x, y01, [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs], rngs)
+    assert [_as_nested(t) for t in trees] == refs
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
+    return forest
+
+
+def test_lockstep_trees_finishing_at_different_steps():
+    # three positives in 24 rows: some bootstraps miss them all, so those
+    # trees are a single leaf while the rest grow to the depth limit
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((24, 3))
+    y01 = np.zeros(24, dtype=np.int64)
+    y01[[3, 11, 19]] = 1
+    forest = _check_lockstep(x, y01, n_estimators=9, max_depth=6, seed=28)
+    sizes = [len(t.feature) for t in forest.trees]
+    assert min(sizes) == 1 and max(t.depth for t in forest.trees) == 6
+
+
+@pytest.mark.parametrize("n_estimators,max_depth,n,d", [
+    (1, 8, 40, 5),    # one tree
+    (4, 0, 40, 5),    # every tree is its root leaf: no feature draws at all
+    (6, 3, 2, 3),     # two samples
+    (6, 8, 40, 1),    # one feature, so every node draws it
+])
+def test_lockstep_edge_shapes(n_estimators, max_depth, n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    y01 = rng.integers(0, 2, size=n)
+    y01[0], y01[-1] = 0, 1
+    _check_lockstep(x, y01, n_estimators, max_depth, seed=n_estimators + max_depth)
+
+
+def _default_baseline_pools():
+    """The two training pools ``run_experiment`` classifies in the baseline
+    setup of the default config, seed 0 (720 x 64 and 720 x 32)."""
+    config = ExperimentConfig()
+    split = replace(config.split, seed=config.seed)
+    return [mco_oversample(stratified_split(ds, split)[0], seed=config.seed + 1)
+            for ds in synth_bimodal(config.synth, config.dimension)]
+
+
+def test_lockstep_matches_reference_on_default_baseline_features():
+    for pool in _default_baseline_pools():
+        y01 = (pool.y == POS).astype(np.int64)
+        refs, _ = _ref_forest(pool.x, y01, n_estimators=8, max_depth=8, seed=8)
+        forest = fit_rf(pool.x, pool.y, n_estimators=8, max_depth=8, seed=8)
+        assert [_as_nested(t) for t in forest.trees] == refs
+
+
+def test_fit_scratch_memory_is_capped():
+    # 300 trees on 720 x 64: scoring every tree's node at once would take
+    # hundreds of MB of scratch; the chunk cap keeps the fit near its output
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((720, 64))
+    y = np.where(x[:, :4].sum(axis=1) + rng.standard_normal(720) > 0, POS, NEG)
+    tracemalloc.start()
+    try:
+        fit_rf(x, y, n_estimators=300, max_depth=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
