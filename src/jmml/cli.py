@@ -14,7 +14,7 @@ import numpy as np
 
 from . import biomarkers, edcc, io, jecl, mbpls
 from .config import ExperimentConfig, load_config
-from .errors import JmmlError
+from .errors import JmmlError, LabelError, ShapeError
 from .experiment import (classify, fit_cross_modal, fit_jecl, fit_pls, render_table,
                          rows_to_json, run_experiment)
 from .pipeline import Dataset, mco_oversample, pair_by_label, stratified_split, synth_bimodal
@@ -25,17 +25,35 @@ def _config(args):
     return load_config(args.config) if args.config else ExperimentConfig()
 
 
-def _read_features(path, modality, args, config):
+def _read_features(path, args, config):
     """Read a feature CSV's rows on one axis: ``--dimension``, else the
     ``--config`` YAML's ``dimension`` (the axis ``jmml run`` reads), else
     the file's only axis."""
     dimension = args.dimension or (config.dimension if args.config else None)
-    return io.read_feature_csv(path, modality, dimension)
+    return io.read_feature_csv(path, dimension=dimension)
+
+
+def _trial_labels(trials, labels):
+    """The axis of the first trial's label and every trial's polarity; a
+    bad label, or one on another axis, raises ``LabelError`` naming its
+    trial."""
+    parsed = []
+    for trial, label in zip(trials, labels):
+        try:
+            parsed.append(io.parse_label(label))
+        except LabelError as err:
+            raise LabelError(f"trial {trial.trial_id!r}: {err}") from None
+        if parsed[-1][0] != parsed[0][0]:
+            raise LabelError(f"trial {trial.trial_id!r}: label {label!r} is on the "
+                             f"{parsed[-1][0]} axis, the first trial's on {parsed[0][0]}")
+    return parsed[0][0], [pol for _dim, pol in parsed]
 
 
 def cmd_extract(args):
-    reader = io.read_trials_csv if args.format == "csv" else io.read_trials
-    trials, labels = reader(args.trials)
+    trials, labels = io.read_trials(args.trials)
+    if not trials:
+        raise ShapeError(f"{args.trials}: container holds no trials")
+    dim, polarities = _trial_labels(trials, labels)
     if args.trim:
         trials = [io.trim_pretrial(t) for t in trials]
     selection = biomarkers.FeatureSelection()
@@ -43,9 +61,7 @@ def cmd_extract(args):
     for trial in trials:
         rows.append(biomarkers.extract_trial(trial, selection, k_max=args.k_max).values)
         ids.append(trial.trial_id)
-    dim, _pol = io.parse_label(labels[0])
-    dataset = Dataset(np.array(rows), np.array([lab[1] for lab in labels]),
-                      np.array(ids), "eeg", dim)
+    dataset = Dataset(np.array(rows), np.array(polarities), np.array(ids), "eeg", dim)
     io.write_feature_csv(args.out, dataset)
     print(f"wrote {len(rows)} trials x {dataset.dim} features to {args.out}")
 
@@ -62,7 +78,7 @@ def cmd_synth(args):
 
 def cmd_train_jecl(args):
     config = _config(args)
-    ds = _read_features(args.features, args.modality, args, config)
+    ds = _read_features(args.features, args, config)
     model, trace = fit_jecl(ds.x, ds.y, config.jecl, args.seed)
     jecl.save_jecl(model, args.out)
     print(f"trained {len(trace.total)} epochs; final loss {trace.total[-1]:.4f}; saved {args.out}")
@@ -71,7 +87,7 @@ def cmd_train_jecl(args):
 def cmd_fit_mbpls(args):
     config = _config(args)
     model = jecl.load_jecl(args.jecl)
-    ds = _read_features(args.features, args.modality, args, config)
+    ds = _read_features(args.features, args, config)
     modality = ("eeg", "speech").index(args.modality)
     pls = fit_pls(jecl.embed_blocks(model, ds.x), ds.x, config.mbpls, modality, args.seed)
     mbpls.save_mbpls(pls, args.out)
@@ -80,8 +96,8 @@ def cmd_fit_mbpls(args):
 
 def cmd_train_jmml(args):
     config = _config(args)
-    ds1 = _read_features(args.features1, "eeg", args, config)
-    ds2 = _read_features(args.features2, "speech", args, config)
+    ds1 = _read_features(args.features1, args, config)
+    ds2 = _read_features(args.features2, args, config)
     pairs = pair_by_label(ds1, ds2, seed=args.seed)
     model, trace = fit_cross_modal(pairs, (ds1.x, ds2.x), config.edcc, args.seed)
     edcc.save_edcc(model, args.out)
@@ -90,7 +106,7 @@ def cmd_train_jmml(args):
 
 def cmd_evaluate(args):
     config = _config(args)
-    ds = _read_features(args.features, args.modality, args, config)
+    ds = _read_features(args.features, args, config)
     train, _val, test = stratified_split(ds, replace(config.split, seed=args.seed))
     train = mco_oversample(train, seed=args.seed + 1)
     report = classify(train.x, train.y, test.x, test.y, config.rf, args.seed)
@@ -118,9 +134,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="EEG biomarker extraction from a trial container")
-    p.add_argument("trials")
+    p.add_argument("trials", help="binary (.eegt) or CSV trial container")
     p.add_argument("out")
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--trim", action="store_true", help="drop the 3s pre-trial window, keep 3-63s")
     p.set_defaults(func=cmd_extract)
@@ -133,7 +148,6 @@ def build_parser():
 
     p = sub.add_parser("train-jecl", help="train per-class joint emotion blocks")
     p.add_argument("--features", required=True)
-    p.add_argument("--modality", choices=("eeg", "speech"), required=True)
     p.add_argument("--dimension", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -161,7 +175,6 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="random-forest evaluation of a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--modality", choices=("eeg", "speech"), default="eeg")
     p.add_argument("--dimension", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)

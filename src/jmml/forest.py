@@ -6,10 +6,12 @@ bootstrap sample of the training set.  Everything is deterministic per
 seed (per-tree seeds are spawned from the forest seed, so a parallel fit
 would reproduce the serial one).
 
-A tree is a set of flat node arrays (feature, threshold, left, right,
-class counts) in depth-first, left-first order.  A leaf points to itself
-on both sides and has threshold +inf, so a walk that reaches it stays
-there.
+A fitted forest is one node table: flat arrays (feature, threshold, left,
+right, class counts) shared by all its trees, with tree i's root at node
+i.  A leaf points to itself on both sides and has threshold +inf, so a
+walk that reaches it stays there.  ``predict`` walks every (row, tree)
+pair through the table together, one level per step, for as many steps
+as the deepest leaf.
 
 A forest's trees grow in lockstep.  Each tree keeps a depth-first stack
 and draws from its own generator, so on each step every unfinished tree
@@ -18,21 +20,18 @@ order as a recursive fit would; then one segmented pass scores all those
 nodes together.  Every feature is ranked once per fit, so one integer sort
 of (segment, rank) keys orders every (node, sampled feature) segment, and
 running class counts with per-segment offsets give each Gini.  A bootstrap
-sample is held as distinct rows with copy counts.  The node arrays are
+sample is held as distinct rows with copy counts.  Each tree is
 bit-identical to a one-node-at-a-time fit.  Nodes are scored in chunks of
 at most ``CHUNK`` elements (nodes x sampled features x distinct rows), so
 scratch memory does not grow with the number of trees.
 
-A fitted forest also holds its trees concatenated into
-one set of arrays; ``predict`` walks every (row, tree) pair through them
-together, one level per step, for as many steps as the deepest leaf.
 Feature values must be finite: ``fit_rf`` and ``predict`` raise
 ``NumericalError`` otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,28 +53,6 @@ class EvalReport:
         }
 
 
-class DecisionTree:
-    """CART-style tree stored as flat node arrays; leaves hold class counts."""
-
-    def __init__(self, max_depth):
-        self.max_depth = max_depth
-        self.feature = None      # split feature per node (0 at leaves)
-        self.threshold = None    # go left when x[feature] <= threshold; +inf at leaves
-        self.left = None         # child node indices; a leaf points to itself
-        self.right = None
-        self.counts = None       # (n_nodes, 2) class counts (neg, pos) reaching each node
-        self.depth = None        # depth of the deepest leaf
-
-    def fit(self, x, y01, rng):
-        _grow([self], x, y01, [np.ones(len(y01), dtype=np.intp)], [rng])
-        return self
-
-    def predict_pos_votes(self, x):
-        """Per-sample 0/1 vote (leaf majority, ties to the positive class)."""
-        return _walk(x, self.feature, self.threshold, self.left, self.right, self.counts,
-                     np.zeros(1, dtype=np.intp), self.depth)[:, 0]
-
-
 # Most scored elements (nodes x sampled features x distinct node rows) in
 # one pass; a step's nodes are scored in chunks of at most this many, so
 # scratch memory stays flat however many trees grow together.  A single
@@ -83,16 +60,19 @@ class DecisionTree:
 CHUNK = 1 << 16
 
 
-def _grow(trees, x, y01, copies, rngs):
-    """Grow ``trees`` in lockstep: tree i over ``c[j]`` copies of each row j
-    of ``x``, where ``c`` is the i-th array that ``copies`` yields (a
-    bootstrap sample as counts), drawing its features from ``rngs[i]``.
+def _grow(x, y01, copies, rngs, max_depth):
+    """Grow one tree per generator in ``rngs``, in lockstep, into one node
+    table: tree i over ``c[j]`` copies of each row j of ``x``, where ``c``
+    is the i-th array that ``copies`` yields (a bootstrap sample as
+    counts), drawing its features from ``rngs[i]``.  Returns the table's
+    feature, threshold, left, right and counts arrays and the depth of the
+    deepest leaf; tree i's root is node i.
 
     Each tree walks its nodes depth first from its own stack.  On each step
     every live tree pops nodes, settling leaves, until it reaches one it can
     split, and draws that node's features; then all those nodes are scored
     together (``_split``).  A tree's draws come in the same order as in a
-    recursive depth-first fit, so its node arrays are the same."""
+    recursive depth-first fit, so it is the same tree."""
     n, d = x.shape
     n_try = max(1, int(np.sqrt(d)))
     xt = np.ascontiguousarray(x.T)  # one row per feature: node samples gather contiguously
@@ -105,10 +85,13 @@ def _grow(trees, x, y01, copies, rngs):
     sorted_x = np.take_along_axis(xt, order, axis=1).ravel()
     sorted_y = y01[order].ravel().astype(np.float64)  # labels as exact float counts
 
-    # per tree, one flat list of six values per node: feature, threshold, left, right, neg, pos
-    nodes = [[] for _ in trees]
-    depth = [0] * len(trees)
-    stacks = []                  # per tree: (rows, copies, depth, neg, pos, parent of a right child)
+    # every tree's nodes in one flat list of six values per node: feature,
+    # threshold, left, right, neg, pos
+    nodes = []
+    depth = 0
+    # per tree: (rows, copies, depth, neg, pos, the parent's child link to
+    # this node as an index into ``nodes``, or -1 at the root)
+    stacks = []
     for c in copies:
         rows = np.flatnonzero(c)
         c = c[rows]
@@ -118,27 +101,23 @@ def _grow(trees, x, y01, copies, rngs):
     # segments, so a key needs about 16 + log2(d*n) + log2(copies) bits.
     bits = (int(flat_rank.size).bit_length(), int(max(s[0][1].max() for s in stacks)).bit_length())
     data = (n_try, xt, y01, flat_rank.ravel(), sorted_x, sorted_y, np.arange(max(CHUNK, n_try * n)), bits)
-    max_depth = trees[0].max_depth
-    live = range(len(trees))
+    live = range(len(stacks))  # the first step pops every tree's root: tree i's is node i
     while live:
         batch, still = [], []
         for i in live:
-            stack, tree_nodes = stacks[i], nodes[i]
+            stack = stacks[i]
             while stack:
-                rows, c, level, neg, pos, parent = stack.pop()
-                node = len(tree_nodes) // 6
-                tree_nodes.extend((0, np.inf, node, node, neg, pos))
-                if parent >= 0:
-                    tree_nodes[6 * parent + 3] = node
-                depth[i] = max(depth[i], level)
+                rows, c, level, neg, pos, link = stack.pop()
+                node = len(nodes) // 6
+                nodes.extend((0, np.inf, node, node, neg, pos))
+                if link >= 0:
+                    nodes[link] = node
+                depth = max(depth, level)
                 if level < max_depth and neg and pos:
                     feats = rngs[i].choice(d, size=n_try, replace=False)
                     batch.append((i, node, rows, c, level, neg, pos, feats))
                     still.append(i)
                     break
-            else:  # tree i is finished: freeze its nodes into arrays
-                _freeze(trees[i], nodes[i], depth[i])
-                nodes[i] = None
         live = still
         chunks, size = [], CHUNK
         for item in batch:
@@ -151,16 +130,9 @@ def _grow(trees, x, y01, copies, rngs):
         del batch
         while chunks:  # each chunk's inputs are released as soon as it is split
             _split(chunks.pop(), data, nodes, stacks)
-
-
-def _freeze(tree, nodes, depth):
-    nodes = np.array(nodes, dtype=np.float64).reshape(-1, 6)  # integers here are far below 2**53
-    tree.feature = nodes[:, 0].astype(np.intp)
-    tree.threshold = nodes[:, 1].copy()
-    tree.left = nodes[:, 2].astype(np.intp)
-    tree.right = nodes[:, 3].astype(np.intp)
-    tree.counts = nodes[:, 4:].astype(np.int64)
-    tree.depth = depth
+    table = np.array(nodes, dtype=np.float64).reshape(-1, 6)  # integers here are far below 2**53
+    return (table[:, 0].astype(np.intp), table[:, 1].copy(), table[:, 2].astype(np.intp),
+            table[:, 3].astype(np.intp), table[:, 4:].astype(np.int64), depth)
 
 
 def _split(chunk, data, nodes, stacks):
@@ -256,54 +228,29 @@ def _split(chunk, data, nodes, stacks):
     feature, threshold = feature.tolist(), threshold.tolist()
     for j in np.flatnonzero(split).tolist():
         stack, at_node, below = stacks[tree[j]], node[j], level[j] + 1
-        nodes[tree[j]][6 * at_node:6 * at_node + 3] = feature[j], threshold[j], at_node + 1
+        nodes[6 * at_node:6 * at_node + 2] = feature[j], threshold[j]
         # The right child may wait many steps on the stack, so it gets its own
         # copy rather than pinning this chunk's arrays; the left child is
-        # popped on the tree's next step.
+        # popped on the tree's next step.  Each child links itself into this
+        # node's left or right slot when it is popped.
         r = 2 * j + 1
         part = slice(end[r] - distinct[r], end[r])
-        stack.append((rows[part].copy(), copies[part].copy(), below, neg[r], pos[r], at_node))
+        stack.append((rows[part].copy(), copies[part].copy(), below, neg[r], pos[r], 6 * at_node + 3))
         part = slice(end[r - 1] - distinct[r - 1], end[r - 1])
-        stack.append((rows[part], copies[part], below, neg[r - 1], pos[r - 1], -1))
-
-
-def _walk(x, feature, threshold, left, right, counts, roots, steps):
-    """(n_rows, n_trees) 0/1 leaf votes, ties to the positive class.  Every
-    (row, tree) pair descends one level per step from ``roots``; a pair that
-    reaches a leaf early stays there."""
-    n, d = x.shape
-    flat = x.ravel()
-    offset = (np.arange(n) * d)[:, None]
-    node = np.repeat(roots[None, :], n, axis=0)
-    for _ in range(steps):
-        go_left = flat[offset + feature[node]] <= threshold[node]
-        node = np.where(go_left, left[node], right[node])
-    leaf = counts[node]
-    return (leaf[..., 1] >= leaf[..., 0]).astype(np.int64)
+        stack.append((rows[part], copies[part], below, neg[r - 1], pos[r - 1], 6 * at_node + 2))
 
 
 @dataclass
 class RandomForest:
-    trees: list
-    n_estimators: int
-    max_depth: int
-    seed: int
+    """A fitted forest: one node table holding every tree."""
+    feature: np.ndarray      # split feature per node (0 at leaves)
+    threshold: np.ndarray    # go left when x[feature] <= threshold; +inf at leaves
+    left: np.ndarray         # child node indices; a leaf points to itself
+    right: np.ndarray
+    counts: np.ndarray       # (n_nodes, 2) class counts (neg, pos) reaching each node
+    depth: int               # depth of the deepest leaf
+    trees: np.ndarray        # each tree's root node
     n_features: int
-    # every tree's nodes concatenated, child indices shifted to match
-    _nodes: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        sizes = [len(t.feature) for t in self.trees]
-        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        self._nodes = (
-            np.concatenate([t.feature for t in self.trees]),
-            np.concatenate([t.threshold for t in self.trees]),
-            np.concatenate([t.left + r for t, r in zip(self.trees, roots)]),
-            np.concatenate([t.right + r for t, r in zip(self.trees, roots)]),
-            np.concatenate([t.counts for t in self.trees]),
-            roots,
-            max(t.depth for t in self.trees),
-        )
 
 
 def _encode_labels(y):
@@ -333,9 +280,8 @@ def fit_rf(x, y, n_estimators=100, max_depth=8, seed=0):
         raise SingleClassError("training data contains a single class")
     n = x.shape[0]
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_estimators)]
-    trees = [DecisionTree(max_depth) for _ in rngs]
-    _grow(trees, x, y01, (np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs), rngs)
-    return RandomForest(trees, n_estimators, max_depth, seed, x.shape[1])
+    copies = (np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs)
+    return RandomForest(*_grow(x, y01, copies, rngs, max_depth), np.arange(n_estimators), x.shape[1])
 
 
 def predict(forest, x):
@@ -343,7 +289,17 @@ def predict(forest, x):
     x = _finite_features(x, "forest predict")
     if x.shape[1] != forest.n_features:
         raise ShapeError(f"feature dim {x.shape[1]} != {forest.n_features}")
-    votes = _walk(x, *forest._nodes).sum(axis=1)
+    # Every (row, tree) pair descends one level per step from the tree's
+    # root; a pair that reaches a leaf early stays there.
+    n, d = x.shape
+    flat = x.ravel()
+    offset = (np.arange(n) * d)[:, None]
+    node = np.repeat(forest.trees[None, :], n, axis=0)
+    for _ in range(forest.depth):
+        go_left = flat[offset + forest.feature[node]] <= forest.threshold[node]
+        node = np.where(go_left, forest.left[node], forest.right[node])
+    leaf = forest.counts[node]
+    votes = (leaf[..., 1] >= leaf[..., 0]).sum(axis=1)  # leaf ties vote '+'
     pos = votes * 2 >= len(forest.trees)
     return np.where(pos, POS, NEG)
 

@@ -17,7 +17,9 @@ Little-endian:
 CSV trial container
 -------------------
 Header ``trial_id,label,sample_rate,channel,s0,...``; one row per
-channel, rows of a trial grouped by id in file order.
+channel, rows of a trial grouped by id in file order.  ``read_trials``
+reads either container: a file that does not start with the binary magic
+is read as CSV.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import struct
 import numpy as np
 
 from .biomarkers import EegTrial
-from .errors import LabelError, NumericalError
+from .errors import LabelError, NumericalError, ShapeError
 from .pipeline import Dataset
 
 MAGIC = b"JMMLEEG1"
@@ -60,8 +62,9 @@ def read_feature_csv(path, modality="eeg", dimension=None):
     """Load a feature CSV as a :class:`Dataset`.
 
     ``dimension`` filters rows to one axis; None keeps all rows but
-    requires the file to be single-axis.  A NaN or inf value raises
-    ``NumericalError`` naming the first row id that holds one.
+    requires the file to be single-axis.  A row whose column count differs
+    from the header's raises ``ShapeError``; an unparsable, NaN or inf
+    value raises ``NumericalError``.  Both name the file and the row id.
     """
     ids, labels, rows, dims = [], [], [], set()
     with open(path, newline="") as fh:
@@ -70,13 +73,19 @@ def read_feature_csv(path, modality="eeg", dimension=None):
         if header[:2] != ["id", "label"]:
             raise ValueError(f"{path}: header must start with id,label")
         for rec in reader:
+            if len(rec) != len(header):
+                raise ShapeError(f"{path}: row id {rec[0] if rec else ''!r} has {len(rec)} "
+                                 f"columns, the header {len(header)}")
             dim, pol = parse_label(rec[1])
             if dimension is not None and dim != dimension:
                 continue
             ids.append(rec[0])
             labels.append(pol)
             dims.add(dim)
-            rows.append(list(map(float, rec[2:])))
+            try:
+                rows.append(list(map(float, rec[2:])))
+            except ValueError as err:
+                raise NumericalError(f"{path}: row id {rec[0]!r}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no rows" + (f" for dimension {dimension}" if dimension else ""))
     if dimension is None:
@@ -106,19 +115,30 @@ def write_trials(path, trials, labels):
 
 
 def read_trials(path):
-    """Read the binary trial container; returns (trials, labels)."""
+    """Read a trial container, binary if it starts with the binary magic,
+    else CSV; returns (trials, labels).  A binary container that ends early
+    raises ``ShapeError`` naming the trial it ends in."""
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValueError(f"{path} is not a trial container")
-        (count,) = struct.unpack("<I", fh.read(4))
+        if fh.read(len(MAGIC)) != MAGIC:
+            return read_trials_csv(path)
+        index = None  # the trial being read
+
+        def take(size):
+            data = fh.read(size)
+            if len(data) != size:
+                where = "its trial count" if index is None else f"trial {index}"
+                raise ShapeError(f"{path}: container is truncated in {where}")
+            return data
+
+        (count,) = struct.unpack("<I", take(4))
         trials, labels = [], []
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            tid = fh.read(id_len).decode()
-            (lab_len,) = struct.unpack("<H", fh.read(2))
-            label = fh.read(lab_len).decode()
-            rate, n_ch, n_s = struct.unpack("<dII", fh.read(16))
-            data = np.frombuffer(fh.read(8 * n_ch * n_s), dtype="<f8").reshape(n_ch, n_s)
+        for index in range(count):
+            (id_len,) = struct.unpack("<H", take(2))
+            tid = take(id_len).decode()
+            (lab_len,) = struct.unpack("<H", take(2))
+            label = take(lab_len).decode()
+            rate, n_ch, n_s = struct.unpack("<dII", take(16))
+            data = np.frombuffer(take(8 * n_ch * n_s), dtype="<f8").reshape(n_ch, n_s)
             trials.append(EegTrial(data.copy(), rate, tid))
             labels.append(label)
     return trials, labels

@@ -53,6 +53,7 @@ def test_traced_run_records_every_stage_span():
     assert len(rows) == 8
     calls = {layer: agg[2] for layer, agg in tracer.agg["setup"].items()}
     assert calls.get("forest.fit") == 8  # one forest per (setup, modality)
+    assert tracer.counts["setup"]["forest.fit.trees"] == 8 * 3  # len(forest.trees) per fit
     assert calls.get("mbpls.fit") == 2  # one projection per modality
     assert calls.get("jecl.train") == 2
     assert calls.get("edcc.train") == 2  # baseline_edcc and jmml

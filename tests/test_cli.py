@@ -1,6 +1,7 @@
 """End-to-end CLI verb coverage through main()."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from jmml import edcc, jecl, mbpls
 from jmml.biomarkers import EegTrial
-from jmml.cli import main
+from jmml.cli import build_parser, cmd_extract, main
 from jmml.config import ExperimentConfig, load_config
+from jmml.errors import LabelError
 from jmml.experiment import classify
 from jmml.io import read_feature_csv, write_feature_csv, write_trials
 from jmml.pipeline import (
@@ -84,11 +86,48 @@ def test_extract_verb(tmp_path, capsys):
     assert len(ds) == 4 and ds.dim == 2 * 13
 
 
+@pytest.mark.parametrize("labels,message", [
+    (["V+", "A-", "V-"], "trial 't1': label 'A-' is on the arousal axis, the first trial's on valence"),
+    (["V+", "V-", "Q?"], "trial 't2': bad label 'Q\\?'"),
+])
+def test_extract_verb_refuses_a_label_it_cannot_keep(tmp_path, capsys, labels, message):
+    rng = np.random.default_rng(0)
+    trials = [EegTrial(rng.standard_normal((2, 512)), 128.0, f"t{i}") for i in range(3)]
+    container, out = tmp_path / "trials.eegt", tmp_path / "features.csv"
+    write_trials(container, trials, labels)
+    with pytest.raises(LabelError, match=message):
+        cmd_extract(build_parser().parse_args(["extract", str(container), str(out)]))
+    assert main(["extract", str(container), str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err) and not out.exists()
+
+
+def test_extract_verb_refuses_an_empty_container(tmp_path, capsys):
+    container = tmp_path / "trials.eegt"
+    write_trials(container, [], [])
+    assert main(["extract", str(container), str(tmp_path / "features.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {container}: container holds no trials\n"
+
+
+def test_run_verb_names_a_short_feature_row(tmp_path, capsys):
+    ds1, ds2 = synth_bimodal(SynthSpec(n_per_class=20, latent_dim=3, dims=(6, 5), seed=0))
+    paths = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+    write_feature_csv(paths[0], ds1)
+    write_feature_csv(paths[1], ds2)
+    lines = paths[1].read_text().splitlines(True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+    paths[1].write_text("".join(lines))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"synth: null\nmodality1_csv: {paths[0]}\nmodality2_csv: {paths[1]}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"error: [stage=data] {paths[1]}: row id {str(ds2.ids[4])!r} "
+                                       "has 6 columns, the header 7\n")
+
+
 def test_train_jecl_and_fit_mbpls_verbs(tmp_path, synth_csvs, capsys):
     p1, _p2 = synth_csvs
     model_path = tmp_path / "jecl.json"
     rc = main([
-        "train-jecl", "--features", p1, "--modality", "eeg",
+        "train-jecl", "--features", p1,
         "--seed", "0", "--out", str(model_path),
     ])
     assert rc == 0 and model_path.exists()
@@ -107,7 +146,7 @@ def test_fit_mbpls_takes_the_modality_s_lv_count(tmp_path, synth_csvs, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("jecl: {epochs: 3}\nmbpls: {n_components: [40, 6]}\n")
     model_path, pls_path = tmp_path / "jecl.json", tmp_path / "mbpls.json"
-    assert main(["train-jecl", "--features", p2, "--modality", "speech", "--config", str(cfg),
+    assert main(["train-jecl", "--features", p2, "--config", str(cfg),
                  "--out", str(model_path)]) == 0
     assert main(["fit-mbpls", "--jecl", str(model_path), "--features", p2, "--modality", "speech",
                  "--config", str(cfg), "--out", str(pls_path)]) == 0
@@ -123,7 +162,7 @@ def test_train_jecl_checkpoint_pins_config_mapping(tmp_path, synth_csvs, capsys)
                    " lr: 0.02, val_frac: 0.2, patience: 2}\n")
     out = tmp_path / "jecl.json"
     rc = main([
-        "train-jecl", "--features", p1, "--modality", "eeg",
+        "train-jecl", "--features", p1,
         "--config", str(cfg), "--seed", "4", "--out", str(out),
     ])
     assert rc == 0
@@ -198,8 +237,7 @@ def test_evaluate_verb_matches_the_classify_stage(tmp_path, synth_csvs, capsys):
     cfg.write_text("split: {test_frac: 0.3, train_frac: 0.7}\n"
                    "rf: {grid_search: true, estimator_grid: [4, 8], depth_grid: [2, 3],"
                    " folds: 3, f1_average: weighted}\n")
-    rc = main(["evaluate", "--features", p2, "--modality", "speech", "--config", str(cfg),
-               "--seed", "3"])
+    rc = main(["evaluate", "--features", p2, "--config", str(cfg), "--seed", "3"])
     assert rc == 0
     config = load_config(str(cfg))
     ds = read_feature_csv(p2, "speech")

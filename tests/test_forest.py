@@ -8,7 +8,7 @@ import pytest
 
 from jmml.config import ExperimentConfig
 from jmml.errors import NumericalError, ShapeError, SingleClassError
-from jmml.forest import NEG, POS, DecisionTree, _grow, evaluate, fit_rf, grid_search, predict
+from jmml.forest import NEG, POS, RandomForest, _grow, evaluate, fit_rf, grid_search, predict
 from jmml.pipeline import mco_oversample, stratified_split, synth_bimodal
 
 
@@ -29,11 +29,8 @@ def test_fit_predict_separable():
 
 
 def _same_trees(f1, f2):
-    fields = ("feature", "threshold", "left", "right", "counts")
-    return len(f1.trees) == len(f2.trees) and all(
-        np.array_equal(getattr(t1, k), getattr(t2, k))
-        for t1, t2 in zip(f1.trees, f2.trees) for k in fields
-    )
+    fields = ("feature", "threshold", "left", "right", "counts", "trees")
+    return all(np.array_equal(getattr(f1, k), getattr(f2, k)) for k in fields)
 
 
 def test_determinism_equal_node_arrays():
@@ -79,18 +76,27 @@ def test_vote_tie_goes_positive():
     # two stump "trees" voting oppositely: the tie must resolve to '+'
     x, y = _blobs(seed=3)
     forest = fit_rf(x, y, n_estimators=2, max_depth=1, seed=0)
-    votes_by_tree = [t.predict_pos_votes(x) for t in forest.trees]
+    votes_by_tree = [_ref_votes(_as_nested(forest, root), x) for root in forest.trees]
     ties = np.sum(votes_by_tree, axis=0) == 1
     if ties.any():
         assert np.all(predict(forest, x)[ties] == POS)
 
 
+def _grown(x, y01, copies, rngs, max_depth):
+    """The forest ``_grow`` builds, one tree per generator."""
+    return RandomForest(*_grow(x, y01, copies, rngs, max_depth), np.arange(len(rngs)), x.shape[1])
+
+
+def _one_tree(x, y01, max_depth, rng):
+    """A one-tree forest grown over every row of ``x`` once."""
+    return _grown(x, y01, [np.ones(len(y01), dtype=np.intp)], [rng], max_depth)
+
+
 def test_leaf_tie_goes_positive():
     # a depth-0 tree is one leaf; 3 '+' and 3 '-' make it exactly tied
-    tree = DecisionTree(max_depth=0).fit(
-        np.zeros((6, 1)), np.array([1, 1, 1, 0, 0, 0]), np.random.default_rng(0))
+    tree = _one_tree(np.zeros((6, 1)), np.array([1, 1, 1, 0, 0, 0]), 0, np.random.default_rng(0))
     np.testing.assert_array_equal(tree.counts, [[3, 3]])
-    assert tree.predict_pos_votes(np.zeros((1, 1)))[0] == 1
+    assert predict(tree, np.zeros((1, 1)))[0] == POS
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -169,15 +175,16 @@ def _ref_votes(root, x):
     return out
 
 
-def _as_nested(tree, i=0):
-    if tree.left[i] == i:
-        assert tree.right[i] == i and tree.threshold[i] == np.inf
-        return {"leaf": tuple(int(c) for c in tree.counts[i])}
+def _as_nested(forest, i):
+    """The tree rooted at node ``i`` of ``forest``'s table as nested dicts."""
+    if forest.left[i] == i:
+        assert forest.right[i] == i and forest.threshold[i] == np.inf
+        return {"leaf": tuple(int(c) for c in forest.counts[i])}
     return {
-        "feature": int(tree.feature[i]),
-        "threshold": float(tree.threshold[i]),
-        "left": _as_nested(tree, tree.left[i]),
-        "right": _as_nested(tree, tree.right[i]),
+        "feature": int(forest.feature[i]),
+        "threshold": float(forest.threshold[i]),
+        "left": _as_nested(forest, forest.left[i]),
+        "right": _as_nested(forest, forest.right[i]),
     }
 
 
@@ -205,12 +212,13 @@ def test_tree_matches_reference(seed):
     x, y, max_depth = _random_case(seed)
     rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
     ref = _ref_grow(x, y, 0, max_depth, rng_ref)
-    tree = DecisionTree(max_depth).fit(x, y, rng_new)
-    assert _as_nested(tree) == ref
+    tree = _one_tree(x, y, max_depth, rng_new)
+    assert _as_nested(tree, 0) == ref
     assert tree.depth == _tree_depth(ref)
     assert rng_new.random() == rng_ref.random()  # same draws, same order
     x_test = np.random.default_rng(seed + 100).integers(-2, 9, size=(30, x.shape[1])) / 2.0
-    np.testing.assert_array_equal(tree.predict_pos_votes(x_test), _ref_votes(ref, x_test))
+    expected = np.where(_ref_votes(ref, x_test) == 1, POS, NEG)
+    np.testing.assert_array_equal(predict(tree, x_test), expected)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -223,7 +231,7 @@ def test_forest_matches_reference(seed):
         rng = np.random.default_rng(ss)
         idx = rng.integers(0, len(y), size=len(y))
         refs.append(_ref_grow(x[idx], y[idx], 0, max_depth, rng))
-    assert [_as_nested(t) for t in forest.trees] == refs
+    assert [_as_nested(forest, root) for root in forest.trees] == refs
     x_test = np.random.default_rng(seed).integers(-2, 9, size=(25, x.shape[1])) / 2.0
     ref_votes = np.sum([_ref_votes(r, x_test) for r in refs], axis=0)
     expected = np.where(ref_votes * 2 >= len(refs), POS, NEG)
@@ -251,14 +259,14 @@ def _check_lockstep(x, y01, n_estimators, max_depth, seed):
     refs, ref_rngs = _ref_forest(x, y01, n_estimators, max_depth, seed)
     labels = np.where(y01 == 1, POS, NEG)
     forest = fit_rf(x, labels, n_estimators=n_estimators, max_depth=max_depth, seed=seed)
-    assert [_as_nested(t) for t in forest.trees] == refs
-    assert [t.depth for t in forest.trees] == [_tree_depth(r) for r in refs]
+    assert [_as_nested(forest, root) for root in forest.trees] == refs
+    assert forest.depth == max(_tree_depth(r) for r in refs)
     # the same growth with the generators in hand, to check their end state
     n = len(y01)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_estimators)]
-    trees = [DecisionTree(max_depth) for _ in rngs]
-    _grow(trees, x, y01, [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs], rngs)
-    assert [_as_nested(t) for t in trees] == refs
+    grown = _grown(x, y01, [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs],
+                   rngs, max_depth)
+    assert [_as_nested(grown, root) for root in grown.trees] == refs
     assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
     return forest
 
@@ -271,8 +279,8 @@ def test_lockstep_trees_finishing_at_different_steps():
     y01 = np.zeros(24, dtype=np.int64)
     y01[[3, 11, 19]] = 1
     forest = _check_lockstep(x, y01, n_estimators=9, max_depth=6, seed=28)
-    sizes = [len(t.feature) for t in forest.trees]
-    assert min(sizes) == 1 and max(t.depth for t in forest.trees) == 6
+    depths = [_tree_depth(_as_nested(forest, root)) for root in forest.trees]
+    assert min(depths) == 0 and forest.depth == 6
 
 
 @pytest.mark.parametrize("n_estimators,max_depth,n,d", [
@@ -303,7 +311,7 @@ def test_lockstep_matches_reference_on_default_baseline_features():
         y01 = (pool.y == POS).astype(np.int64)
         refs, _ = _ref_forest(pool.x, y01, n_estimators=8, max_depth=8, seed=8)
         forest = fit_rf(pool.x, pool.y, n_estimators=8, max_depth=8, seed=8)
-        assert [_as_nested(t) for t in forest.trees] == refs
+        assert [_as_nested(forest, root) for root in forest.trees] == refs
 
 
 def test_fit_scratch_memory_is_capped():

@@ -8,7 +8,7 @@ import pytest
 
 from jmml.biomarkers import EegTrial
 from jmml.config import ExperimentConfig, JeclConfig, MbplsConfig, load_config, save_config
-from jmml.errors import LabelError, NumericalError
+from jmml.errors import LabelError, NumericalError, ShapeError
 from jmml.io import (
     format_label,
     parse_label,
@@ -82,6 +82,31 @@ def test_feature_csv_rejects_non_finite_values(tmp_path, bad):
         read_feature_csv(path)
 
 
+def _edit_row(path, i, edit):
+    """Rewrite data row ``i`` of a CSV as ``edit(cells)``."""
+    lines = path.read_text().splitlines()
+    lines[i + 1] = ",".join(edit(lines[i + 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_feature_csv_short_row_is_a_shape_error(tmp_path):
+    ds = _dataset(n=6, d=3)
+    path = tmp_path / "f.csv"
+    write_feature_csv(path, ds)
+    _edit_row(path, 3, lambda cells: cells[:-1])
+    with pytest.raises(ShapeError, match="f.csv: row id 't3' has 4 columns, the header 5"):
+        read_feature_csv(path)
+
+
+def test_feature_csv_unparsable_cell_is_a_numerical_error(tmp_path):
+    ds = _dataset(n=6, d=3)
+    path = tmp_path / "f.csv"
+    write_feature_csv(path, ds)
+    _edit_row(path, 2, lambda cells: cells[:3] + ["abc"] + cells[4:])
+    with pytest.raises(NumericalError, match="f.csv: row id 't2': could not convert string to float: 'abc'"):
+        read_feature_csv(path)
+
+
 def test_feature_csv_dimension_filter(tmp_path):
     a = _dataset(dimension="valence")
     b = _dataset(seed=1, dimension="arousal")
@@ -124,6 +149,33 @@ def test_trial_container_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_trials(path)
+
+
+def test_truncated_trial_container_is_a_shape_error(tmp_path):
+    rng = np.random.default_rng(3)
+    trials = [EegTrial(rng.standard_normal((2, 16)), 128.0, f"t{i}") for i in range(3)]
+    path = tmp_path / "trials.eegt"
+    write_trials(path, trials, ["V+", "V-", "V+"])
+    full = path.read_bytes()
+    trial_size = (len(full) - 12) // 3
+    for size, where in [(10, "its trial count"), (12 + trial_size + 5, "trial 1"), (len(full) - 1, "trial 2")]:
+        path.write_bytes(full[:size])
+        with pytest.raises(ShapeError, match=f"trials.eegt: container is truncated in {where}$"):
+            read_trials(path)
+
+
+def test_read_trials_tells_the_containers_apart(tmp_path):
+    rng = np.random.default_rng(4)
+    trials = [EegTrial(rng.standard_normal((2, 4)), 64.0, "t1")]
+    binary, text = tmp_path / "trials.eegt", tmp_path / "trials.csv"
+    write_trials(binary, trials, ["A-"])
+    text.write_text("trial_id,label,sample_rate,channel,s0,s1,s2,s3\n" + "".join(
+        f"t1,A-,64.0,{c}," + ",".join(map(repr, row.tolist())) + "\n"
+        for c, row in enumerate(trials[0].channels)))
+    for path in (binary, text):
+        back, labels = read_trials(path)
+        assert labels == ["A-"] and back[0].trial_id == "t1" and back[0].sample_rate == 64.0
+        np.testing.assert_array_equal(back[0].channels, trials[0].channels)
 
 
 def test_trials_csv_roundtrip(tmp_path):
