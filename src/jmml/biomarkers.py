@@ -131,6 +131,8 @@ class EegTrial:
     Parameters
     ----------
     channels : ndarray, shape (n_channels, n_samples)
+        Float32 and float64 samples are kept as given, without a copy;
+        any other dtype is converted to float64.
     sample_rate : float
         Sampling rate in Hz.  Never inferred from data.
     trial_id : str
@@ -141,7 +143,9 @@ class EegTrial:
     trial_id: str = ""
 
     def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
+        self.channels = np.asarray(self.channels)
+        if self.channels.dtype not in (np.float32, np.float64):
+            self.channels = self.channels.astype(np.float64)
         if self.channels.ndim != 2 or self.channels.shape[0] < 1:
             raise ShapeError("channels must be a (n_channels, n_samples) matrix")
         if self.sample_rate <= 0:
@@ -368,7 +372,9 @@ def extract_trial(trial, selection=FeatureSelection(), k_max=8):
     ``selection.output_dim(n_channels)``.  A degenerate channel raises
     :class:`DegenerateSignal` carrying the channel index.
     """
-    features = channel_features(trial.channels, trial.sample_rate, selection, k_max=k_max)
+    # one C-ordered float64 copy per trial; float64(float32) is exact
+    x = np.asarray(trial.channels, dtype=np.float64, order="C")
+    features = channel_features(x, trial.sample_rate, selection, k_max=k_max)
     return FeatureVector(features.ravel(), modality="eeg")
 
 

@@ -64,7 +64,8 @@ def read_feature_csv(path, modality="eeg", dimension=None):
     ``dimension`` filters rows to one axis; None keeps all rows but
     requires the file to be single-axis.  A row whose column count differs
     from the header's raises ``ShapeError``; an unparsable, NaN or inf
-    value raises ``NumericalError``.  Both name the file and the row id.
+    value raises ``NumericalError``, and a bad label ``LabelError``.  Each
+    names the file and the row id.
     """
     ids, labels, rows, dims = [], [], [], set()
     with open(path, newline="") as fh:
@@ -76,7 +77,10 @@ def read_feature_csv(path, modality="eeg", dimension=None):
             if len(rec) != len(header):
                 raise ShapeError(f"{path}: row id {rec[0] if rec else ''!r} has {len(rec)} "
                                  f"columns, the header {len(header)}")
-            dim, pol = parse_label(rec[1])
+            try:
+                dim, pol = parse_label(rec[1])
+            except LabelError as err:
+                raise LabelError(f"{path}: row id {rec[0]!r}: {err}") from None
             if dimension is not None and dim != dimension:
                 continue
             ids.append(rec[0])
@@ -145,7 +149,10 @@ def read_trials(path):
 
 
 def read_trials_csv(path):
-    """Read the CSV trial container; returns (trials, labels)."""
+    """Read the CSV trial container; returns (trials, labels).  A
+    non-numeric sample or sample rate raises ``NumericalError``, and channel
+    rows of different lengths within a trial ``ShapeError``; both name the
+    file and the trial."""
     groups = {}
     order = []
     with open(path, newline="") as fh:
@@ -155,10 +162,17 @@ def read_trials_csv(path):
             raise ValueError(f"{path}: header must start with trial_id,label,sample_rate,channel")
         for rec in reader:
             tid = rec[0]
-            if tid not in groups:
-                groups[tid] = {"label": rec[1], "rate": float(rec[2]), "channels": []}
-                order.append(tid)
-            groups[tid]["channels"].append([float(v) for v in rec[4:]])
+            try:
+                if tid not in groups:
+                    groups[tid] = {"label": rec[1], "rate": float(rec[2]), "channels": []}
+                    order.append(tid)
+                groups[tid]["channels"].append([float(v) for v in rec[4:]])
+            except ValueError as err:
+                raise NumericalError(f"{path}: trial {tid!r}: {err}") from None
+    for tid in order:
+        lengths = sorted({len(row) for row in groups[tid]["channels"]})
+        if len(lengths) > 1:
+            raise ShapeError(f"{path}: trial {tid!r} has channel rows of {lengths} samples")
     trials = [
         EegTrial(np.array(groups[tid]["channels"]), groups[tid]["rate"], tid) for tid in order
     ]

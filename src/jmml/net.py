@@ -22,19 +22,49 @@ BLOCK = 32768
 
 
 class Param:
-    """A trainable array with an accumulated gradient."""
+    """A trainable array with an accumulated gradient.
 
-    __slots__ = ("value", "grad", "name")
+    ``zero_grad`` only marks the gradient stale.  The next ``add_grad``
+    writes its term straight into the buffer, and later ones add to it;
+    any other reader or writer of ``grad`` sees zeros first.
+    """
+
+    __slots__ = ("value", "_grad", "_stale", "name")
 
     def __init__(self, value, name=""):
         # C order: Adam updates ``value`` through a flat view, and a reshape
         # of a non-contiguous array would be a copy that loses the update.
         self.value = np.asarray(value, dtype=np.float64, order="C")
-        self.grad = np.zeros_like(self.value)
+        self._grad = np.empty_like(self.value)
+        self._stale = True
         self.name = name
 
+    @property
+    def grad(self):
+        if self._stale:
+            self._grad[...] = 0.0
+            self._stale = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        # ``p.grad += g`` reads the buffer, adds in place and assigns it back
+        if value is not self._grad:
+            np.copyto(self._grad, value)
+        self._stale = False
+
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self._stale = True
+
+    def add_grad(self, op, *args):
+        """Add ``op(*args)`` to the gradient.  A stale gradient is written
+        whole by ``op(*args, out=grad)``, with no temporary and no zero
+        fill; 0 + t equals t except that a -0 term stays -0."""
+        if self._stale:
+            self._stale = False
+            op(*args, out=self._grad)
+        else:
+            self._grad += op(*args)
 
     def __repr__(self):
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
@@ -79,9 +109,10 @@ class DenseLayer:
         return self.w.value.shape[1]
 
     def forward(self, x):
-        z = x @ self.w.value + self.b.value
+        z = x @ self.w.value
+        z += self.b.value
         if self.activation == "relu":
-            return np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         return z
 
     def backward(self, x, out, grad_out):
@@ -91,8 +122,8 @@ class DenseLayer:
         """
         if self.activation == "relu":
             grad_out = np.where(out > 0.0, grad_out, 0.0)
-        self.w.grad += x.T @ grad_out
-        self.b.grad += grad_out.sum(axis=0)
+        self.w.add_grad(np.matmul, x.T, grad_out)
+        self.b.add_grad(np.sum, grad_out, 0)
         return grad_out @ self.w.value.T
 
 
@@ -157,13 +188,16 @@ class Adam:
         self._state = {}
         self._a = np.empty(BLOCK)
         self._b = np.empty(BLOCK)
+        self._finite = np.empty(BLOCK, dtype=bool)
 
     def state_for(self, param):
+        """The param's moments ``m`` and ``v`` and step count ``t``.  The
+        moments are unset until the first step writes them."""
         key = id(param)
         if key not in self._state:
             self._state[key] = {
-                "m": np.zeros_like(param.value),
-                "v": np.zeros_like(param.value),
+                "m": np.empty_like(param.value),
+                "v": np.empty_like(param.value),
                 "t": 0,
             }
         return self._state[key]
@@ -180,12 +214,16 @@ class Adam:
             if id(p) in seen:
                 raise ValueError(f"{p.name or 'param'} listed twice in one Adam step")
             seen.add(id(p))
-            if not np.isfinite(p.grad).all():
-                raise NumericalError(f"non-finite gradient for {p.name or 'param'}")
+            grad = p.grad.reshape(-1)
+            for lo in range(0, grad.size, BLOCK):
+                chunk = grad[lo:lo + BLOCK]
+                if not np.isfinite(chunk, out=self._finite[: chunk.size]).all():
+                    raise NumericalError(f"non-finite gradient for {p.name or 'param'}")
         b1, b2 = self.beta1, self.beta2
         for p in params:
             st = self.state_for(p)
             st["t"] += 1
+            first = st["t"] == 1
             c1 = 1.0 - b1 ** st["t"]
             c2 = 1.0 - b2 ** st["t"]
             value, grad = p.value.reshape(-1), p.grad.reshape(-1)
@@ -193,17 +231,24 @@ class Adam:
             # Blocked, in place: the same IEEE operations in the same order as
             # ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
             # value -= lr * (m/c1) / (sqrt(v/c2) + eps)``, so the bits match.
+            # The first step writes the moments from zero: b1*0 + t is t,
+            # except that a -0 term leaves m at -0, which moves no value.
             for lo in range(0, value.size, BLOCK):
                 hi = min(lo + BLOCK, value.size)
                 g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
                 a, b = self._a[: hi - lo], self._b[: hi - lo]
-                mb *= b1
-                np.multiply(g, 1.0 - b1, out=a)
-                mb += a
-                vb *= b2
-                np.multiply(g, g, out=a)
-                a *= 1.0 - b2
-                vb += a
+                if first:
+                    np.multiply(g, 1.0 - b1, out=mb)
+                    np.multiply(g, g, out=vb)
+                    vb *= 1.0 - b2
+                else:
+                    mb *= b1
+                    np.multiply(g, 1.0 - b1, out=a)
+                    mb += a
+                    vb *= b2
+                    np.multiply(g, g, out=a)
+                    a *= 1.0 - b2
+                    vb += a
                 np.divide(vb, c2, out=a)
                 np.sqrt(a, out=a)
                 a += self.eps

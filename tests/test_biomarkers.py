@@ -295,10 +295,16 @@ def test_extract_trial_channel_major_order():
 def test_extract_trial_independent_of_memory_layout():
     sel = FeatureSelection(temporal=TEMPORAL_FEATURES)
     trial = _noise_trial(n_channels=6, n_samples=1024)
-    expected = extract_trial(trial, sel).values
-    for channels in (np.asfortranarray(trial.channels), np.repeat(trial.channels, 2, axis=1)[:, ::2]):
-        got = extract_trial(EegTrial(channels, trial.sample_rate), sel).values
-        np.testing.assert_array_equal(got, expected)
+    samples32 = trial.channels.astype(np.float32)
+    for channels in (np.asfortranarray(trial.channels), np.repeat(trial.channels, 2, axis=1)[:, ::2],
+                     samples32, np.asfortranarray(samples32)):
+        kept = EegTrial(channels, trial.sample_rate)
+        # float32 and float64 samples are held as given, not copied
+        assert kept.channels.dtype == channels.dtype and np.shares_memory(kept.channels, channels)
+        widened = EegTrial(np.ascontiguousarray(channels, dtype=np.float64), trial.sample_rate)
+        np.testing.assert_array_equal(extract_trial(kept, sel).values, extract_trial(widened, sel).values)
+    got = extract_trial(EegTrial(np.asfortranarray(trial.channels), trial.sample_rate), sel).values
+    np.testing.assert_array_equal(got, extract_trial(trial, sel).values)
 
 
 def _mixed_channels():
@@ -397,6 +403,9 @@ def test_spectral_amplitude_invariance():
 
 
 def test_trial_validation():
+    ints = np.arange(20).reshape(2, 10)
+    assert EegTrial(ints).channels.dtype == np.float64
+    np.testing.assert_array_equal(EegTrial(ints).channels, ints)
     with pytest.raises(ShapeError):
         EegTrial(np.zeros(10))
     with pytest.raises(ValueError):

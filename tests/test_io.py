@@ -107,6 +107,13 @@ def test_feature_csv_unparsable_cell_is_a_numerical_error(tmp_path):
         read_feature_csv(path)
 
 
+def test_feature_csv_bad_label_names_file_and_row(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("id,label,f0\nr0,V+,1.0\nr1,X+,2.0\n")
+    with pytest.raises(LabelError, match="f.csv: row id 'r1': bad label 'X\\+'"):
+        read_feature_csv(path)
+
+
 def test_feature_csv_dimension_filter(tmp_path):
     a = _dataset(dimension="valence")
     b = _dataset(seed=1, dimension="arousal")
@@ -192,6 +199,24 @@ def test_trials_csv_roundtrip(tmp_path):
     assert trials[0].channels.shape == (2, 4)
     assert trials[1].sample_rate == 64.0
     np.testing.assert_allclose(trials[0].channels[1], [1.0, 1.1, 1.2, 1.3])
+
+
+@pytest.mark.parametrize("row, error, match", [
+    ("t2,A-,64.0,1,5.0,abc,7.0,8.0", NumericalError, "trial 't2': could not convert string to float: 'abc'"),
+    ("t3,A-,fast,0,5.0,6.0,7.0,8.0", NumericalError, "trial 't3': could not convert string to float: 'fast'"),
+    ("t2,A-,64.0,1,5.0,6.0,7.0", ShapeError, r"trial 't2' has channel rows of \[3, 4\] samples"),
+])
+def test_trials_csv_malformed_trial_names_file_and_trial(tmp_path, row, error, match):
+    path = tmp_path / "trials.csv"
+    rows = [
+        "trial_id,label,sample_rate,channel,s0,s1,s2,s3",
+        "t1,V+,128.0,0,0.1,0.2,0.3,0.4",
+        "t2,A-,64.0,0,5.0,6.0,7.0,8.0",
+        row,
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(error, match="trials.csv: " + match):
+        read_trials(path)
 
 
 def test_trim_pretrial_window():

@@ -1,5 +1,7 @@
 """Dense-net kernel: forward/backward correctness, tying, Adam, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,20 @@ def test_weight_tying_shares_value_and_grad():
     assert second.params()[:2] == first.params() == [layer.w, layer.b]
     x = rng.standard_normal((2, 3))
     out = layer.forward(x)
-    first.backward([x, out], np.ones_like(out))
-    g1 = layer.w.grad.copy()
-    second.layers[0].backward(x, out, np.ones_like(out))
-    # second accumulation doubles the shared gradient
-    np.testing.assert_allclose(layer.w.grad, 2.0 * g1)
+    grads = rng.standard_normal((2, *out.shape))
+    for _ in range(2):  # a pass after zero_grads starts the sum over
+        zero_grads(second.params())
+        first.backward([x, out], grads[0])
+        second.layers[0].backward(x, out, grads[1])
+        # the first use writes the stale gradient, the second adds to it:
+        # the same values as accumulating both from zeros
+        w_sum, b_sum = np.zeros((3, 3)), np.zeros(3)
+        for g in grads:
+            g = np.where(out > 0.0, g, 0.0)
+            w_sum += x.T @ g
+            b_sum += g.sum(axis=0)
+        np.testing.assert_array_equal(layer.w.grad, w_sum)
+        np.testing.assert_array_equal(layer.b.grad, b_sum)
 
 
 def test_params_deduplicates_tied_layers():
@@ -87,6 +98,7 @@ def test_adam_decreases_quadratic():
     opt = Adam(lr=0.1)
     for _ in range(200):
         p.zero_grad()
+        assert not p.grad.any()  # a stale gradient reads as zeros
         p.grad += 2.0 * p.value
         opt.step([p])
     assert np.abs(p.value).max() < 0.1
@@ -136,6 +148,11 @@ def test_adam_blocked_update_matches_textbook_bits():
     init = [rng.standard_normal(s) for s in shapes]
     steps = 5
     grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3) for s in shapes] for _ in range(steps)]
+    for step_grads in grads:  # exact zeros of either sign, and grads that square to zero
+        for g in step_grads:
+            flat = g.reshape(-1)
+            for k, tiny in enumerate((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-200)):
+                flat[k::7] = tiny
     params = [Param(x.copy()) for x in init]
     opt = Adam(lr=0.01)
     for step_grads in grads:
@@ -145,9 +162,35 @@ def test_adam_blocked_update_matches_textbook_bits():
     values, ms, vs = _textbook_adam(init, grads, steps)
     for p, value, m, v in zip(params, values, ms, vs):
         assert opt.steps_taken(p) == steps
-        np.testing.assert_array_equal(p.value, value)
-        np.testing.assert_array_equal(opt.state_for(p)["m"], m)
-        np.testing.assert_array_equal(opt.state_for(p)["v"], v)
+        np.testing.assert_array_equal(p.value.view(np.uint64), value.view(np.uint64))
+        # the moments may differ from the textbook's only in a zero's sign
+        for got, want in ((opt.state_for(p)["m"], m), (opt.state_for(p)["v"], v)):
+            np.testing.assert_array_equal(got, want)
+            assert (got[got.view(np.uint64) != want.view(np.uint64)] == 0.0).all()
+
+
+def test_training_step_allocates_no_weight_sized_temporary():
+    rng = np.random.default_rng(7)
+    layer = DenseLayer.create(1024, 1024, "relu", rng)
+    params = [layer.w, layer.b]
+    x = rng.standard_normal((8, 1024))
+    out = layer.forward(x)
+    grad_out = rng.standard_normal(out.shape)
+    opt = Adam()
+
+    def step():
+        zero_grads(params)
+        layer.backward(x, out, grad_out)
+        opt.step(params)
+
+    step()  # the warm-up step allocates the moments
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < layer.w.value.nbytes / 4
 
 
 def test_adam_nan_grad_moves_no_param():
