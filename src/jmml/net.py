@@ -188,16 +188,13 @@ class Adam:
         self._state = {}
         self._a = np.empty(BLOCK)
         self._b = np.empty(BLOCK)
-        self._finite = np.empty(BLOCK, dtype=bool)
 
     def state_for(self, param):
-        """The param's moments ``m`` and ``v`` and step count ``t``.  The
-        moments are unset until the first step writes them."""
         key = id(param)
         if key not in self._state:
             self._state[key] = {
-                "m": np.empty_like(param.value),
-                "v": np.empty_like(param.value),
+                "m": np.zeros_like(param.value),
+                "v": np.zeros_like(param.value),
                 "t": 0,
             }
         return self._state[key]
@@ -214,16 +211,12 @@ class Adam:
             if id(p) in seen:
                 raise ValueError(f"{p.name or 'param'} listed twice in one Adam step")
             seen.add(id(p))
-            grad = p.grad.reshape(-1)
-            for lo in range(0, grad.size, BLOCK):
-                chunk = grad[lo:lo + BLOCK]
-                if not np.isfinite(chunk, out=self._finite[: chunk.size]).all():
-                    raise NumericalError(f"non-finite gradient for {p.name or 'param'}")
+            if not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient for {p.name or 'param'}")
         b1, b2 = self.beta1, self.beta2
         for p in params:
             st = self.state_for(p)
             st["t"] += 1
-            first = st["t"] == 1
             c1 = 1.0 - b1 ** st["t"]
             c2 = 1.0 - b2 ** st["t"]
             value, grad = p.value.reshape(-1), p.grad.reshape(-1)
@@ -231,24 +224,17 @@ class Adam:
             # Blocked, in place: the same IEEE operations in the same order as
             # ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
             # value -= lr * (m/c1) / (sqrt(v/c2) + eps)``, so the bits match.
-            # The first step writes the moments from zero: b1*0 + t is t,
-            # except that a -0 term leaves m at -0, which moves no value.
             for lo in range(0, value.size, BLOCK):
                 hi = min(lo + BLOCK, value.size)
                 g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
                 a, b = self._a[: hi - lo], self._b[: hi - lo]
-                if first:
-                    np.multiply(g, 1.0 - b1, out=mb)
-                    np.multiply(g, g, out=vb)
-                    vb *= 1.0 - b2
-                else:
-                    mb *= b1
-                    np.multiply(g, 1.0 - b1, out=a)
-                    mb += a
-                    vb *= b2
-                    np.multiply(g, g, out=a)
-                    a *= 1.0 - b2
-                    vb += a
+                mb *= b1
+                np.multiply(g, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - b2
+                vb += a
                 np.divide(vb, c2, out=a)
                 np.sqrt(a, out=a)
                 a += self.eps

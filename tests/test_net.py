@@ -148,25 +148,25 @@ def test_adam_blocked_update_matches_textbook_bits():
     init = [rng.standard_normal(s) for s in shapes]
     steps = 5
     grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3) for s in shapes] for _ in range(steps)]
-    for step_grads in grads:  # exact zeros of either sign, and grads that square to zero
-        for g in step_grads:
-            flat = g.reshape(-1)
-            for k, tiny in enumerate((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-200)):
-                flat[k::7] = tiny
+    # one more param, with zero values of either sign, takes exact zeros of
+    # either sign and grads that square to zero, each element a new mix per step
+    specials = np.tile([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-200, 1.0], 9)
+    init.append(np.tile([0.0, -0.0, 1.0, -1e-300, 3.0], 13)[: specials.size])
+    for t, step_grads in enumerate(grads):
+        step_grads.append(np.roll(specials, t))
     params = [Param(x.copy()) for x in init]
     opt = Adam(lr=0.01)
-    for step_grads in grads:
+    for t, step_grads in enumerate(grads, 1):
         for p, g in zip(params, step_grads):
             p.grad[...] = g
         opt.step(params)
-    values, ms, vs = _textbook_adam(init, grads, steps)
-    for p, value, m, v in zip(params, values, ms, vs):
-        assert opt.steps_taken(p) == steps
-        np.testing.assert_array_equal(p.value.view(np.uint64), value.view(np.uint64))
-        # the moments may differ from the textbook's only in a zero's sign
-        for got, want in ((opt.state_for(p)["m"], m), (opt.state_for(p)["v"], v)):
-            np.testing.assert_array_equal(got, want)
-            assert (got[got.view(np.uint64) != want.view(np.uint64)] == 0.0).all()
+        # after every step, so a zero's sign cannot be lost to a later step
+        values, ms, vs = _textbook_adam(init, grads, t)
+        for p, value, m, v in zip(params, values, ms, vs):
+            assert opt.steps_taken(p) == t
+            np.testing.assert_array_equal(p.value.view(np.uint64), value.view(np.uint64))
+            np.testing.assert_array_equal(opt.state_for(p)["m"].view(np.uint64), m.view(np.uint64))
+            np.testing.assert_array_equal(opt.state_for(p)["v"].view(np.uint64), v.view(np.uint64))
 
 
 def test_training_step_allocates_no_weight_sized_temporary():
