@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-import yaml
-
 from .pipeline import SplitSpec, SynthSpec
 
 SETUP_CHAIN = ("baseline", "jec_ssl", "baseline_edcc", "jmml")
@@ -111,10 +109,14 @@ def from_dict(cls, d):
 
 
 def load_config(path):
+    import yaml  # imported on first use: ``import jmml`` stays without it
+
     with open(path) as fh:
         return from_dict(ExperimentConfig, yaml.safe_load(fh) or {})
 
 
 def save_config(config, path):
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(asdict(config), fh, sort_keys=False)

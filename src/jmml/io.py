@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .biomarkers import EegTrial
-from .errors import LabelError, NumericalError, ShapeError
+from .errors import LabelError, NumericalError, RangeError, ShapeError
 from .pipeline import Dataset
 
 MAGIC = b"JMMLEEG1"
@@ -150,9 +150,10 @@ def read_trials(path):
 
 def read_trials_csv(path):
     """Read the CSV trial container; returns (trials, labels).  A
-    non-numeric sample or sample rate raises ``NumericalError``, and channel
-    rows of different lengths within a trial ``ShapeError``; both name the
-    file and the trial."""
+    non-numeric sample or sample rate raises ``NumericalError``, channel
+    rows of different lengths within a trial ``ShapeError``, and rows of one
+    trial with different labels ``LabelError`` or sample rates
+    ``RangeError``; each names the file and the trial."""
     groups = {}
     order = []
     with open(path, newline="") as fh:
@@ -163,12 +164,19 @@ def read_trials_csv(path):
         for rec in reader:
             tid = rec[0]
             try:
+                rate = float(rec[2])
                 if tid not in groups:
-                    groups[tid] = {"label": rec[1], "rate": float(rec[2]), "channels": []}
+                    groups[tid] = {"label": rec[1], "rate": rate, "channels": []}
                     order.append(tid)
                 groups[tid]["channels"].append([float(v) for v in rec[4:]])
             except ValueError as err:
                 raise NumericalError(f"{path}: trial {tid!r}: {err}") from None
+            if rec[1] != groups[tid]["label"]:
+                raise LabelError(f"{path}: trial {tid!r} has rows labelled "
+                                 f"{groups[tid]['label']!r} and {rec[1]!r}")
+            if rate != groups[tid]["rate"]:
+                raise RangeError(f"{path}: trial {tid!r} has rows sampled at "
+                                 f"{groups[tid]['rate']} and {rate} Hz")
     for tid in order:
         lengths = sorted({len(row) for row in groups[tid]["channels"]})
         if len(lengths) > 1:

@@ -182,9 +182,12 @@ def train_jecl(
 
     Per epoch each block takes one full-batch optimizer step on its own
     class's samples; the tied similarity latent is stepped at every
-    block's turn, private weights only on their own turn.  Class
-    centroids are frozen from the initial class means.  Early stopping
-    watches the summed validation loss with the given patience.
+    block's turn, private weights only on their own turn.  Since only the
+    current block's gradients are live, the blocks' private params share
+    one set of gradient buffers (:meth:`Param.share_grad`) from here on.
+    Class centroids are frozen from the initial class means.  Early
+    stopping watches the summed validation loss with the given patience
+    and leaves the params of the best epoch.
     """
     rng = np.random.default_rng(seed)
     class_ids = sorted(b.class_id for b in model.blocks)
@@ -207,18 +210,24 @@ def train_jecl(
         if blocks[cid].centroid is None:
             blocks[cid].centroid = train_sets[cid].mean(axis=0)
 
+    # every turn below zeroes all gradients first, so the blocks can share
+    first = model.blocks[0].private_params()
+    for block in model.blocks[1:]:
+        for p, q in zip(block.private_params(), first, strict=True):
+            p.share_grad(q)
+
     opt = Adam(lr=lr)
     trace = TrainTrace()
     all_params = unique_params(p for b in model.blocks for p in b.private_params() + b.shared_params())
     best_val = np.inf
-    best_state = None  # one buffer per param, allocated at the first improvement
+    best_state = None  # one buffer per param, allocated at the first snapshot
     stale = 0
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         block_losses = {}
         for cid in class_ids:
             block = blocks[cid]
             params = block.private_params() + block.shared_params()
-            zero_grads(params)
+            zero_grads(all_params)
             block_losses[cid] = block_loss(block, train_sets[cid], model.kld_weight, backward=True)
             opt.step(params)
         trace.per_block.append(block_losses)
@@ -233,17 +242,18 @@ def train_jecl(
             trace.validation.append(val)
             if val < best_val - 1e-12:
                 best_val = val
-                if best_state is None:
-                    best_state = [np.empty_like(p.value) for p in all_params]
-                for saved, p in zip(best_state, all_params):
-                    np.copyto(saved, p.value)
                 stale = 0
+                if epoch + 1 < epochs:  # the last epoch's params stay as they are
+                    if best_state is None:
+                        best_state = [np.empty_like(p.value) for p in all_params]
+                    for saved, p in zip(best_state, all_params):
+                        np.copyto(saved, p.value)
             else:
                 stale += 1
                 if stale >= patience:
                     break
 
-    if best_state is not None:
+    if stale and best_state is not None:  # the last epoch run was not the best
         for p, saved in zip(all_params, best_state):
             np.copyto(p.value, saved)
     trace.steps = {

@@ -112,8 +112,8 @@ def fit(blocks, target, n_components):
             break
         v = y_def.T @ t_super / tt
         p_vec = x_def.T @ t_super / tt
-        x_def = x_def - np.outer(t_super, p_vec)
-        y_def = y_def - np.outer(t_super, v)
+        x_def -= np.outer(t_super, p_vec)
+        y_def -= np.outer(t_super, v)
 
         w_cols.append(w)
         w_eff_cols.append(w_eff)

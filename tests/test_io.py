@@ -2,13 +2,18 @@
 
 import csv
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jmml.biomarkers import EegTrial
 from jmml.config import ExperimentConfig, JeclConfig, MbplsConfig, load_config, save_config
-from jmml.errors import LabelError, NumericalError, ShapeError
+from jmml.errors import LabelError, NumericalError, RangeError, ShapeError
 from jmml.io import (
     format_label,
     parse_label,
@@ -219,6 +224,17 @@ def test_trials_csv_malformed_trial_names_file_and_trial(tmp_path, row, error, m
         read_trials(path)
 
 
+@pytest.mark.parametrize("row, error, match", [
+    ("t1,A-,64.0,1,1.0,1.1", LabelError, "has rows labelled 'V+' and 'A-'"),
+    ("t1,V+,64.0,1,1.0,1.1", RangeError, "has rows sampled at 128.0 and 64.0 Hz"),
+])
+def test_trials_csv_rows_of_one_trial_must_agree(tmp_path, row, error, match):
+    path = tmp_path / "trials.csv"
+    path.write_text("trial_id,label,sample_rate,channel,s0,s1\nt1,V+,128.0,0,0.1,0.2\n" + row + "\n")
+    with pytest.raises(error, match=re.escape(f"trials.csv: trial 't1' {match}")):
+        read_trials(path)
+
+
 def test_trim_pretrial_window():
     trial = EegTrial(np.arange(2 * 128 * 70, dtype=float).reshape(2, -1), 128.0, "t")
     trimmed = trim_pretrial(trial)
@@ -278,6 +294,13 @@ def test_config_unknown_key_raises(tmp_path):
     path.write_text("jecl: {epoch: 5}\n")
     with pytest.raises(TypeError):
         load_config(path)
+
+
+def test_import_jmml_leaves_yaml_unimported():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, jmml; sys.exit('yaml' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0
 
 
 def test_config_single_setup_selection():

@@ -1,10 +1,12 @@
 """Joint emotion-class learning: tying, gradients, training schedule,
 embedding contracts and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jmml.errors import DegenerateVector, EmptyClassError, ShapeError
+from jmml.errors import DegenerateVector, EmptyClassError, ShapeError, SharedGradientError
 from jmml.jecl import (
     block_loss,
     build_jecl,
@@ -13,10 +15,11 @@ from jmml.jecl import (
     latent_width,
     load_jecl,
     save_jecl,
+    TrainTrace,
     train_jecl,
 )
 from jmml.losses import grad_check, loss_cosine_kld
-from jmml.net import DenseLayer, DenseNet, Param, glorot_uniform, zero_grads
+from jmml.net import Adam, DenseLayer, DenseNet, Param, glorot_uniform, unique_params, zero_grads
 
 
 def _two_class_data(n=20, d=6, seed=0):
@@ -225,6 +228,137 @@ def test_early_stopping_restores_every_block_to_best_epoch():
         for p, q in zip(block.private_params() + block.shared_params(),
                         ref.private_params() + ref.shared_params()):
             np.testing.assert_array_equal(p.value, q.value)
+
+
+def _reference_train(model, samples_by_class, epochs, lr, val_frac, patience, seed):
+    """``train_jecl`` written out plainly: every Param keeps its own gradient
+    buffer, each turn zeroes only its block, and early stopping copies the
+    params at every improvement and restores the copy at the end."""
+    rng = np.random.default_rng(seed)
+    train_sets, val_sets = {}, {}
+    for cid in sorted(samples_by_class):
+        x = samples_by_class[cid]
+        order = rng.permutation(x.shape[0])
+        n_val = int(round(val_frac * x.shape[0]))
+        val_sets[cid], train_sets[cid] = x[order[:n_val]], x[order[n_val:]]
+    for block in model.blocks:
+        block.centroid = train_sets[block.class_id].mean(axis=0)
+    opt = Adam(lr=lr)
+    trace = TrainTrace()
+    all_params = unique_params(p for b in model.blocks for p in b.private_params() + b.shared_params())
+    best_val, best_state, stale = np.inf, None, 0
+    for _ in range(epochs):
+        losses = {}
+        for block in model.blocks:
+            params = block.private_params() + block.shared_params()
+            zero_grads(params)
+            losses[block.class_id] = block_loss(block, train_sets[block.class_id],
+                                                model.kld_weight, backward=True)
+            opt.step(params)
+        trace.per_block.append(losses)
+        trace.total.append(sum(losses.values()))
+        val = sum(block_loss(b, val_sets[b.class_id], model.kld_weight) for b in model.blocks)
+        trace.validation.append(val)
+        if val < best_val - 1e-12:
+            best_val, best_state, stale = val, [p.value.copy() for p in all_params], 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    for p, saved in zip(all_params, best_state):
+        p.value[...] = saved
+    trace.steps = {
+        "shared": opt.steps_taken(model.blocks[0].shared_params()[0]),
+        "private": {b.class_id: opt.steps_taken(b.private_params()[0]) for b in model.blocks},
+    }
+    return trace
+
+
+def _assert_same_params(model, reference):
+    for block, ref in zip(model.blocks, reference.blocks):
+        for p, q in zip(block.private_params() + block.shared_params(),
+                        ref.private_params() + ref.shared_params()):
+            np.testing.assert_array_equal(p.value, q.value)
+
+
+def test_shared_gradient_buffers_match_separate_buffers_bit_for_bit():
+    rng = np.random.default_rng(23)
+    data = {c: rng.standard_normal((20, 5)) + c for c in (1, 2, 3)}
+    model = build_jecl(input_dim=5, num_classes=3, seed=23)
+    reference = build_jecl(input_dim=5, num_classes=3, seed=23)
+    trace = train_jecl(model, data, epochs=80, lr=1e-2, patience=4, seed=23)
+    ref_trace = _reference_train(reference, data, epochs=80, lr=1e-2, val_frac=0.1,
+                                 patience=4, seed=23)
+    assert int(np.argmin(trace.validation)) < len(trace.total) - 1  # it restored
+    _assert_same_params(model, reference)
+    assert trace == ref_trace  # losses, validation and step counts, bit for bit
+    # the reference's blocks kept their own gradients; the trained blocks
+    # hold only the last turn's
+    assert all(p.grad.any() for b in reference.blocks for p in b.private_params())
+    with pytest.raises(SharedGradientError):
+        model.blocks[0].private_params()[0].grad
+
+
+def test_blocks_that_share_gradient_buffers_never_see_each_others():
+    model = build_jecl(input_dim=5, num_classes=2, seed=24)
+    data = _two_class_data(d=5, seed=24)
+    train_jecl(model, data, epochs=2, seed=24)  # shares the buffers
+    first, second = model.blocks
+    zero_grads([p for b in model.blocks for p in b.private_params() + b.shared_params()])
+    block_loss(first, data[1], backward=True)
+    live = [p.grad.copy() for p in first.private_params()]
+    # writing block 2's gradients while block 1's are live raises, and
+    # block 1's numbers stay as they were
+    with pytest.raises(SharedGradientError, match=r"^b2\..* live gradient of b1\."):
+        block_loss(second, data[2], backward=True)
+    for p, g in zip(first.private_params(), live):
+        np.testing.assert_array_equal(p.grad, g)
+    # after a zero, block 2 writes the buffers and block 1 can read none of them
+    zero_grads(first.private_params() + first.shared_params())
+    block_loss(second, data[2], backward=True)
+    for p in first.private_params():
+        with pytest.raises(SharedGradientError, match=f"^{p.name}: .* live gradient of b2\\."):
+            p.grad
+
+
+def test_jecl_training_holds_one_blocks_private_gradients():
+    """tracemalloc peak of building and training a two-class model: the
+    values, Adam's two moments, the early-stop snapshot, one block's private
+    gradients and the shared latent's, plus 10% for the passes."""
+    rng = np.random.default_rng(25)
+    data = {c: rng.standard_normal((30, 96)) + c for c in (1, 2)}
+    tracemalloc.start()
+    try:
+        model = build_jecl(input_dim=96, num_classes=2, seed=25)
+        train_jecl(model, data, epochs=6, seed=25)  # takes an early-stop snapshot
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    def nbytes(params):
+        return sum(p.value.nbytes for p in params)
+
+    block = model.blocks[0]
+    values = nbytes(unique_params(p for b in model.blocks for p in b.private_params() + b.shared_params()))
+    bound = 4 * values + nbytes(block.private_params()) + nbytes(block.shared_params())
+    assert peak < 1.1 * bound
+
+
+def test_early_stopping_best_epoch_last_keeps_its_params():
+    data = _two_class_data(n=30, d=4, seed=17)
+    model = build_jecl(input_dim=4, num_classes=2, seed=17)
+    trace = train_jecl(model, data, epochs=300, lr=1e-2, patience=3, seed=17)
+    best = int(np.argmin(trace.validation))
+    # trained for exactly the best epoch's count, its last epoch is its best
+    # and an earlier one improved too, so a snapshot of that one exists
+    last = build_jecl(input_dim=4, num_classes=2, seed=17)
+    last_trace = train_jecl(last, data, epochs=best + 1, lr=1e-2, patience=3, seed=17)
+    assert len(last_trace.total) == best + 1 and best > 0
+    assert int(np.argmin(last_trace.validation)) == best
+    _assert_same_params(last, model)
+    reference = build_jecl(input_dim=4, num_classes=2, seed=17)
+    _reference_train(reference, data, epochs=best + 1, lr=1e-2, val_frac=0.1, patience=3, seed=17)
+    _assert_same_params(last, reference)
 
 
 def test_missing_class_rejected():
