@@ -148,8 +148,9 @@ class EegTrial:
             self.channels = self.channels.astype(np.float64)
         if self.channels.ndim != 2 or self.channels.shape[0] < 1:
             raise ShapeError("channels must be a (n_channels, n_samples) matrix")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValueError(f"trial {self.trial_id!r}: sample_rate {self.sample_rate} "
+                             "is not positive and finite")
         if not np.isfinite(self.channels).all():
             raise ValueError("trial contains non-finite samples")
 

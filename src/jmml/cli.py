@@ -16,8 +16,8 @@ from . import biomarkers, edcc, io, jecl, mbpls
 from .config import ExperimentConfig, load_config
 from .errors import JmmlError, LabelError, ShapeError
 from .experiment import (classify, fit_cross_modal, fit_jecl, fit_pls, render_table,
-                         rows_to_json, run_experiment)
-from .pipeline import Dataset, mco_oversample, pair_by_label, stratified_split, synth_bimodal
+                         rows_to_json, run_experiment, split_pool)
+from .pipeline import Dataset, pair_by_label, synth_bimodal
 
 
 def _config(args):
@@ -107,9 +107,8 @@ def cmd_train_jmml(args):
 def cmd_evaluate(args):
     config = _config(args)
     ds = _read_features(args.features, args, config)
-    train, _val, test = stratified_split(ds, replace(config.split, seed=args.seed))
-    train = mco_oversample(train, seed=args.seed + 1)
-    report = classify(train.x, train.y, test.x, test.y, config.rf, args.seed)
+    pool, test = split_pool(ds, config.split, args.seed)
+    report = classify(pool.x, pool.y, test.x, test.y, config.rf, args.seed)
     print(json.dumps(report.to_dict(), indent=2))
 
 
@@ -132,6 +131,11 @@ def cmd_run(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="jmml", description="Two-step joint multi-modal emotion learning")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every verb that fits or evaluates a stage on a feature CSV
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--config", default=None)
+    stage.add_argument("--dimension", default=None)
+    stage.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extract", help="EEG biomarker extraction from a trial container")
     p.add_argument("trials", help="binary (.eegt) or CSV trial container")
@@ -146,38 +150,27 @@ def build_parser():
     p.add_argument("--config", default=None, help="YAML whose synth section and dimension are written")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train-jecl", help="train per-class joint emotion blocks")
+    p = sub.add_parser("train-jecl", parents=[stage], help="train per-class joint emotion blocks")
     p.add_argument("--features", required=True)
-    p.add_argument("--dimension", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_jecl)
 
-    p = sub.add_parser("fit-mbpls", help="fit the multiblock projection on block embeddings")
+    p = sub.add_parser("fit-mbpls", parents=[stage],
+                       help="fit the multiblock projection on block embeddings")
     p.add_argument("--jecl", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--modality", choices=("eeg", "speech"), default="eeg")
-    p.add_argument("--dimension", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_mbpls)
 
-    p = sub.add_parser("train-jmml", help="train the cross-modal autoencoder")
+    p = sub.add_parser("train-jmml", parents=[stage], help="train the cross-modal autoencoder")
     p.add_argument("--features1", required=True)
     p.add_argument("--features2", required=True)
-    p.add_argument("--dimension", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_jmml)
 
-    p = sub.add_parser("evaluate", help="random-forest evaluation of a feature CSV")
+    p = sub.add_parser("evaluate", parents=[stage], help="random-forest evaluation of a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--dimension", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run the full four-setup experiment")

@@ -73,16 +73,6 @@ def _load_datasets(config):
     )
 
 
-class _Standardizer:
-    def __init__(self, x):
-        self.mean = x.mean(axis=0)
-        self.std = x.std(axis=0)
-        self.std[self.std == 0.0] = 1.0
-
-    def __call__(self, x):
-        return (x - self.mean) / self.std
-
-
 @contextmanager
 def _stage(name):
     """Tag any library error with its pipeline stage; the error keeps its type."""
@@ -156,87 +146,84 @@ def classify(train_x, train_y, test_x, test_y, rf_cfg, seed):
     return forest.evaluate(test_y, forest.predict(clf, test_x), average=rf_cfg.f1_average)
 
 
-def jec_ssl_transform(train_x, train_y, test_x, config, seed, modality=0):
-    """Fit the intra-modal chain on training data; return transformed
-    (train, test) feature matrices."""
-    scaler = _Standardizer(train_x)
-    xs_train = scaler(train_x)
-    model, _trace = fit_jecl(xs_train, train_y, config.jecl, seed)
-    blocks_train = jecl.embed_blocks(model, xs_train)
-    pls = fit_pls(blocks_train, xs_train, config.mbpls, modality, seed)
-    blocks_test = jecl.embed_blocks(model, scaler(test_x))
-    return mbpls.predict(pls, blocks_train), mbpls.predict(pls, blocks_test)
+def split_pool(dataset, split_spec, seed):
+    """Stratified split at ``seed``, training part oversampled at
+    ``seed + 1``; returns (pool, test)."""
+    train, _val, test = stratified_split(dataset, replace(split_spec, seed=seed))
+    return mco_oversample(train, seed=seed + 1), test
 
 
-def cross_modal_features(pairs, train_sets, test_sets, config, seed):
-    """Train the cross-modal autoencoder (scalers fitted on ``train_sets``)
-    and return per-modality [input, self-reconstruction] feature matrices.
-
-    ``pairs`` is as for ``fit_cross_modal``; ``train_sets``/``test_sets``
-    are per-modality raw matrices.
-    """
-    model, _trace = fit_cross_modal(pairs, train_sets, config.edcc, seed)
+def _jec_ssl(feats, pools, config, seed):
+    """Per modality m (at ``seed + m``): standardize, train the JECL blocks
+    and project their embeddings back onto the feature space by MBPLS."""
     out = []
-    for m in range(2):
-        feats = [edcc.classifier_features(model, m, x) for x in (train_sets[m], test_sets[m])]
-        out.append(tuple(feats))
+    for m, ((train_x, test_x), pool) in enumerate(zip(feats, pools)):
+        mean, std = train_x.mean(axis=0), train_x.std(axis=0)
+        std[std == 0.0] = 1.0
+        xs_train = (train_x - mean) / std
+        model, _trace = fit_jecl(xs_train, pool.y, config.jecl, seed + m)
+        blocks_train = jecl.embed_blocks(model, xs_train)
+        pls = fit_pls(blocks_train, xs_train, config.mbpls, m, seed + m)
+        blocks_test = jecl.embed_blocks(model, (test_x - mean) / std)
+        out.append((mbpls.predict(pls, blocks_train), mbpls.predict(pls, blocks_test)))
     return out
+
+
+def _cross_modal(feats, pools, config, seed):
+    """The cross-modal autoencoder on ``feats``; per modality the
+    [input, self-reconstruction] matrices.
+
+    The synthetic corpus is parallel (both modalities observe the same
+    latent row for row), so pairs go by index.  CSV corpora share only
+    their labels; there pairs are drawn by label at ``config.seed + 5`` and
+    re-drawn every training epoch.
+    """
+    (tr1, _te1), (tr2, _te2) = feats
+    if config.synth is not None and np.array_equal(pools[0].y, pools[1].y):
+        pairs = tr1, tr2, None
+    else:
+        pairs = pair_by_label(replace(pools[0], x=tr1), replace(pools[1], x=tr2),
+                              seed=config.seed + 5)
+    model, _trace = fit_cross_modal(pairs, (tr1, tr2), config.edcc, seed)
+    return [tuple(edcc.classifier_features(model, m, x) for x in feats[m]) for m in range(2)]
+
+
+# Derived setups in SETUP_CHAIN order: (stage function, the setup whose
+# per-modality (train, test) features it reads, seed offset).
+STAGES = {
+    "jec_ssl": (_jec_ssl, "baseline", 2),
+    "baseline_edcc": (_cross_modal, "baseline", 3),
+    "jmml": (_cross_modal, "jec_ssl", 4),
+}
 
 
 def run_experiment(config: ExperimentConfig):
     """Execute the configured setups and return the report rows."""
     seed = config.seed
     with _stage("data"):
-        ds1, ds2 = _load_datasets(config)
+        datasets = _load_datasets(config)
     with _stage("split"):
-        split = replace(config.split, seed=seed)
-        train1, _val1, test1 = stratified_split(ds1, split)
-        train2, _val2, test2 = stratified_split(ds2, split)
-        pool1 = mco_oversample(train1, seed=seed + 1)
-        pool2 = mco_oversample(train2, seed=seed + 1)
+        (pool1, test1), (pool2, test2) = (split_pool(ds, config.split, seed) for ds in datasets)
         if len(pool2) != len(pool1):
             pool2 = resample_to_size(pool2, len(pool1), seed=seed + 6)
-    pools = (pool1, pool2)
-    tests = (test1, test2)
+    pools, tests = (pool1, pool2), (test1, test2)
     setups = config.setups()
 
-    reps = {"baseline": [(pool.x, test.x) for pool, test in zip(pools, tests)]}
-
-    if {"jec_ssl", "jmml"} & set(setups):
-        with _stage("jec_ssl"):
-            reps["jec_ssl"] = [
-                jec_ssl_transform(pools[m].x, pools[m].y, tests[m].x, config, seed + 2 + m, m)
-                for m in range(2)
-            ]
-
-    # The synthetic corpus is parallel (both modalities observe the same
-    # latent row for row), so cross-modal pairs go by index.  CSV corpora
-    # share only their labels; there pairs are drawn by label and re-drawn
-    # every training epoch.
-    parallel = config.synth is not None and np.array_equal(pool1.y, pool2.y)
-
-    def make_pairs(a, b):
-        if parallel:
-            return a.x, b.x, None
-        return pair_by_label(a, b, seed=seed + 5)
-
-    if "baseline_edcc" in setups:
-        with _stage("baseline_edcc"):
-            reps["baseline_edcc"] = cross_modal_features(
-                make_pairs(pool1, pool2), (pool1.x, pool2.x), (test1.x, test2.x), config, seed + 3
-            )
-
-    if "jmml" in setups:
-        with _stage("jmml"):
-            (tr1, te1), (tr2, te2) = reps["jec_ssl"]
-            pairs = make_pairs(replace(pool1, x=tr1), replace(pool2, x=tr2))
-            reps["jmml"] = cross_modal_features(pairs, (tr1, tr2), (te1, te2), config, seed + 4)
+    needed = set(setups)  # the asked-for setups and every setup they read
+    for name in reversed(STAGES):
+        if name in needed:
+            needed.add(STAGES[name][1])
+    feats = {"baseline": [(pool.x, test.x) for pool, test in zip(pools, tests)]}
+    for name, (stage_fn, source, offset) in STAGES.items():
+        if name in needed:
+            with _stage(name):
+                feats[name] = stage_fn(feats[source], pools, config, seed + offset)
 
     rows = []
     for setup in setups:
         for m in range(2):
             with _stage(f"classify:{setup}:m{m + 1}"):
-                train_feats, test_feats = reps[setup][m]
+                train_feats, test_feats = feats[setup][m]
                 report = classify(train_feats, pools[m].y, test_feats, tests[m].y, config.rf, seed)
             rows.append(
                 ReportRow(setup, m + 1, input_descriptor(setup, m + 1), report.accuracy, report.f1)

@@ -118,10 +118,19 @@ def write_trials(path, trials, labels):
             fh.write(np.ascontiguousarray(trial.channels, dtype="<f8").tobytes())
 
 
+def _sample_rate(path, tid, rate):
+    """``rate`` if it is positive and finite, else ``RangeError`` naming the
+    file and the trial."""
+    if not 0.0 < rate < np.inf:
+        raise RangeError(f"{path}: trial {tid!r}: sample rate {rate} Hz is not positive and finite")
+    return rate
+
+
 def read_trials(path):
     """Read a trial container, binary if it starts with the binary magic,
     else CSV; returns (trials, labels).  A binary container that ends early
-    raises ``ShapeError`` naming the trial it ends in."""
+    raises ``ShapeError`` naming the trial it ends in, and a sample rate
+    that is not positive and finite ``RangeError`` naming the trial."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             return read_trials_csv(path)
@@ -143,7 +152,7 @@ def read_trials(path):
             label = take(lab_len).decode()
             rate, n_ch, n_s = struct.unpack("<dII", take(16))
             data = np.frombuffer(take(8 * n_ch * n_s), dtype="<f8").reshape(n_ch, n_s)
-            trials.append(EegTrial(data.copy(), rate, tid))
+            trials.append(EegTrial(data.copy(), _sample_rate(path, tid, rate), tid))
             labels.append(label)
     return trials, labels
 
@@ -151,9 +160,10 @@ def read_trials(path):
 def read_trials_csv(path):
     """Read the CSV trial container; returns (trials, labels).  A
     non-numeric sample or sample rate raises ``NumericalError``, channel
-    rows of different lengths within a trial ``ShapeError``, and rows of one
-    trial with different labels ``LabelError`` or sample rates
-    ``RangeError``; each names the file and the trial."""
+    rows of different lengths within a trial ``ShapeError``, a sample rate
+    that is not positive and finite, or rows of one trial with different
+    sample rates, ``RangeError``, and rows with different labels
+    ``LabelError``; each names the file and the trial."""
     groups = {}
     order = []
     with open(path, newline="") as fh:
@@ -164,7 +174,7 @@ def read_trials_csv(path):
         for rec in reader:
             tid = rec[0]
             try:
-                rate = float(rec[2])
+                rate = _sample_rate(path, tid, float(rec[2]))
                 if tid not in groups:
                     groups[tid] = {"label": rec[1], "rate": rate, "channels": []}
                     order.append(tid)

@@ -414,3 +414,9 @@ def test_trial_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         EegTrial(bad)
+
+
+@pytest.mark.parametrize("rate", [0.0, -128.0, np.nan, np.inf, -np.inf])
+def test_trial_rejects_a_sample_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ValueError, match=f"trial 't7': sample_rate {rate} is not positive and finite"):
+        EegTrial(np.zeros((2, 10)), rate, "t7")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jmml.config import (
+    SETUP_CHAIN,
     EdccConfig,
     ExperimentConfig,
     JeclConfig,
@@ -118,3 +119,26 @@ def test_jmml_reuses_jec_ssl_representations():
     rows = run_experiment(_small_config(setup="jmml"))
     assert [r.setup for r in rows] == ["jmml", "jmml"]
     assert rows[0].modality == 1 and rows[1].modality == 2
+
+
+def _label_paired_csv_config(tmp_path):
+    # modality 2 keeps a different subset of rows, so its pool differs in
+    # size and order and the cross-modal stages pair rows by label
+    ds1, ds2 = synth_bimodal(SynthSpec(n_per_class=50, latent_dim=4, dims=(12, 8), seed=3))
+    ds2 = ds2.subset(list(range(0, len(ds2), 3)) + list(range(1, len(ds2), 2)))
+    paths = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
+    for path, ds in zip(paths, (ds1, ds2)):
+        write_feature_csv(path, ds)
+    return replace(_small_config(), synth=None, modality1_csv=str(paths[0]),
+                   modality2_csv=str(paths[1]))
+
+
+@pytest.mark.parametrize("corpus", ["index_paired_synth", "label_paired_csv"])
+def test_each_setup_alone_gives_its_rows_of_a_full_run(tmp_path, corpus):
+    # every stage draws from its own seed, so running a setup alone (with
+    # only the stages it reads) cannot change its rows
+    cfg = _small_config() if corpus == "index_paired_synth" else _label_paired_csv_config(tmp_path)
+    full = run_experiment(cfg)
+    for setup in SETUP_CHAIN:
+        alone = run_experiment(replace(cfg, setup=setup))
+        assert rows_to_json(alone) == rows_to_json([r for r in full if r.setup == setup])

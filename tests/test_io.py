@@ -210,6 +210,9 @@ def test_trials_csv_roundtrip(tmp_path):
     ("t2,A-,64.0,1,5.0,abc,7.0,8.0", NumericalError, "trial 't2': could not convert string to float: 'abc'"),
     ("t3,A-,fast,0,5.0,6.0,7.0,8.0", NumericalError, "trial 't3': could not convert string to float: 'fast'"),
     ("t2,A-,64.0,1,5.0,6.0,7.0", ShapeError, r"trial 't2' has channel rows of \[3, 4\] samples"),
+    *[(f"t3,A-,{rate},0,5.0,6.0,7.0,8.0", RangeError,
+       f"trial 't3': sample rate {float(rate)} Hz is not positive and finite")
+      for rate in ("nan", "inf", "-inf", "0.0")],
 ])
 def test_trials_csv_malformed_trial_names_file_and_trial(tmp_path, row, error, match):
     path = tmp_path / "trials.csv"
@@ -232,6 +235,17 @@ def test_trials_csv_rows_of_one_trial_must_agree(tmp_path, row, error, match):
     path = tmp_path / "trials.csv"
     path.write_text("trial_id,label,sample_rate,channel,s0,s1\nt1,V+,128.0,0,0.1,0.2\n" + row + "\n")
     with pytest.raises(error, match=re.escape(f"trials.csv: trial 't1' {match}")):
+        read_trials(path)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+def test_binary_trials_rate_not_positive_and_finite_names_file_and_trial(tmp_path, rate):
+    trial = EegTrial(np.zeros((2, 4)), 64.0, "t1")
+    trial.sample_rate = rate  # as a corrupt or foreign writer would leave it
+    path = tmp_path / "trials.eegt"
+    write_trials(path, [trial], ["V+"])
+    with pytest.raises(RangeError, match=re.escape(
+            f"trials.eegt: trial 't1': sample rate {rate} Hz is not positive and finite")):
         read_trials(path)
 
 
