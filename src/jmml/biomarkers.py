@@ -151,8 +151,10 @@ class EegTrial:
         if not 0.0 < self.sample_rate < np.inf:
             raise ValueError(f"trial {self.trial_id!r}: sample_rate {self.sample_rate} "
                              "is not positive and finite")
-        if not np.isfinite(self.channels).all():
-            raise ValueError("trial contains non-finite samples")
+        finite = np.isfinite(self.channels)
+        if not finite.all():
+            raise ValueError(f"trial {self.trial_id!r}: non-finite samples in channel "
+                             f"{int(np.argmin(finite.all(axis=1)))}")
 
 
 @dataclass

@@ -210,7 +210,9 @@ def train_edcc(
 
     Per epoch: one full-batch step on the CCA term (projection heads need
     batch statistics), then shuffled mini-batch steps on the weighted
-    reconstruction terms.  Returns the per-epoch loss trace.
+    reconstruction terms.  Returns the per-epoch loss trace.  With
+    ``cca_w`` nonzero, fewer than ``projection_dim + 1`` paired rows raise
+    ``ShapeError`` before any training.
 
     With ``labels`` given (one label per paired row), the modality-2 rows
     are re-paired within each label group at every epoch.  Non-parallel
@@ -225,6 +227,10 @@ def train_edcc(
         raise PairingError(f"sample counts differ: {x1.shape[0]} vs {x2.shape[0]}")
     if x1.shape[1] != model.input_dims[0] or x2.shape[1] != model.input_dims[1]:
         raise ShapeError("modality dims do not match the model")
+    if cca_w != 0.0 and x1.shape[0] < model.projection_dim + 1:
+        raise ShapeError(f"{x1.shape[0]} paired rows are too few for the CCA step's "
+                         f"{model.projection_dim} components; it needs at least "
+                         f"{model.projection_dim + 1}")
     _check_unit_range(x1, "modality-1 data")
     _check_unit_range(x2, "modality-2 data")
     if labels is not None:

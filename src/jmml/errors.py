@@ -58,7 +58,3 @@ class LabelError(JmmlError):
 class UnsupportedConfiguration(JmmlError):
     """Requested configuration outside the supported scope."""
 
-
-class SharedGradientError(JmmlError):
-    """A shared gradient buffer was read or written for one Param while it
-    holds another Param's live gradient."""

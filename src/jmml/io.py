@@ -126,11 +126,21 @@ def _sample_rate(path, tid, rate):
     return rate
 
 
+def _trial(path, channels, rate, tid):
+    """The trial of file ``path``; a non-finite sample raises
+    ``NumericalError`` naming the file, the trial and the channel."""
+    try:
+        return EegTrial(channels, rate, tid)
+    except ValueError as err:
+        raise NumericalError(f"{path}: {err}") from None
+
+
 def read_trials(path):
     """Read a trial container, binary if it starts with the binary magic,
     else CSV; returns (trials, labels).  A binary container that ends early
-    raises ``ShapeError`` naming the trial it ends in, and a sample rate
-    that is not positive and finite ``RangeError`` naming the trial."""
+    raises ``ShapeError`` naming the trial it ends in, a sample rate that is
+    not positive and finite ``RangeError`` naming the trial, and a
+    non-finite sample ``NumericalError`` naming the trial and channel."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             return read_trials_csv(path)
@@ -152,18 +162,19 @@ def read_trials(path):
             label = take(lab_len).decode()
             rate, n_ch, n_s = struct.unpack("<dII", take(16))
             data = np.frombuffer(take(8 * n_ch * n_s), dtype="<f8").reshape(n_ch, n_s)
-            trials.append(EegTrial(data.copy(), _sample_rate(path, tid, rate), tid))
+            trials.append(_trial(path, data.copy(), _sample_rate(path, tid, rate), tid))
             labels.append(label)
     return trials, labels
 
 
 def read_trials_csv(path):
     """Read the CSV trial container; returns (trials, labels).  A
-    non-numeric sample or sample rate raises ``NumericalError``, channel
-    rows of different lengths within a trial ``ShapeError``, a sample rate
-    that is not positive and finite, or rows of one trial with different
-    sample rates, ``RangeError``, and rows with different labels
-    ``LabelError``; each names the file and the trial."""
+    non-numeric sample or sample rate, or a non-finite sample (naming its
+    channel), raises ``NumericalError``, channel rows of different lengths
+    within a trial ``ShapeError``, a sample rate that is not positive and
+    finite, or rows of one trial with different sample rates,
+    ``RangeError``, and rows with different labels ``LabelError``; each
+    names the file and the trial."""
     groups = {}
     order = []
     with open(path, newline="") as fh:
@@ -192,7 +203,7 @@ def read_trials_csv(path):
         if len(lengths) > 1:
             raise ShapeError(f"{path}: trial {tid!r} has channel rows of {lengths} samples")
     trials = [
-        EegTrial(np.array(groups[tid]["channels"]), groups[tid]["rate"], tid) for tid in order
+        _trial(path, np.array(groups[tid]["channels"]), groups[tid]["rate"], tid) for tid in order
     ]
     return trials, [groups[tid]["label"] for tid in order]
 

@@ -183,8 +183,8 @@ def train_jecl(
     Per epoch each block takes one full-batch optimizer step on its own
     class's samples; the tied similarity latent is stepped at every
     block's turn, private weights only on their own turn.  Since only the
-    current block's gradients are live, the blocks' private params share
-    one set of gradient buffers (:meth:`Param.share_grad`) from here on.
+    current block's gradients are live, each block's private params take
+    the gradient arrays of the block before it (:meth:`Param.take_grad`).
     Class centroids are frozen from the initial class means.  Early
     stopping watches the summed validation loss with the given patience
     and leaves the params of the best epoch.
@@ -210,24 +210,23 @@ def train_jecl(
         if blocks[cid].centroid is None:
             blocks[cid].centroid = train_sets[cid].mean(axis=0)
 
-    # every turn below zeroes all gradients first, so the blocks can share
-    first = model.blocks[0].private_params()
-    for block in model.blocks[1:]:
-        for p, q in zip(block.private_params(), first, strict=True):
-            p.share_grad(q)
-
     opt = Adam(lr=lr)
     trace = TrainTrace()
     all_params = unique_params(p for b in model.blocks for p in b.private_params() + b.shared_params())
     best_val = np.inf
     best_state = None  # one buffer per param, allocated at the first snapshot
     stale = 0
+    private = {cid: blocks[cid].private_params() for cid in class_ids}
+    last = class_ids[-1]  # the block that trained just before the current one
     for epoch in range(epochs):
         block_losses = {}
         for cid in class_ids:
             block = blocks[cid]
-            params = block.private_params() + block.shared_params()
-            zero_grads(all_params)
+            for p, q in zip(private[cid], private[last], strict=True):
+                p.take_grad(q)
+            last = cid
+            params = private[cid] + block.shared_params()
+            zero_grads(params)
             block_losses[cid] = block_loss(block, train_sets[cid], model.kld_weight, backward=True)
             opt.step(params)
         trace.per_block.append(block_losses)

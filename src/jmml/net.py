@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, SharedGradientError
+from .errors import NumericalError, ShapeError
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -21,95 +21,72 @@ ACTIVATIONS = ("relu", "linear")
 BLOCK = 32768
 
 
-class _GradBuffer:
-    """A gradient array that Params of one shape may share, allocated at the
-    first gradient, and the name of the Param whose live gradient it holds
-    (``None`` when it holds none)."""
-
-    __slots__ = ("array", "holder")
-
-    def __init__(self):
-        self.array = None
-        self.holder = None
-
-
 class Param:
     """A trainable array with an accumulated gradient.
 
-    ``zero_grad`` only marks the gradient stale.  The next ``add_grad``
-    writes its term straight into the buffer, and later ones add to it;
-    any other reader or writer of ``grad`` sees zeros first.
+    The gradient array is allocated at the first gradient and then kept.
+    ``zero_grad`` only marks it stale: the next ``add_grad`` writes its
+    term straight into the array, and later ones add to it; any other
+    reader or writer of ``grad`` sees zeros first.
 
-    Params whose gradients are never live at once may share one buffer
-    (:meth:`share_grad`).  The buffer holds one live gradient at a time:
-    a Param that writes or reads its gradient while the buffer holds
-    another Param's live one raises :class:`SharedGradientError`, so no
-    Param overwrites or returns another's numbers.  ``zero_grad`` frees it.
+    Each gradient array has one owner.  Params whose gradients are never
+    live at once can hand one array on with :meth:`take_grad`.
     """
 
-    __slots__ = ("value", "_buf", "_stale", "name")
+    __slots__ = ("value", "_grad", "_stale", "name")
 
     def __init__(self, value, name=""):
         # C order: Adam updates ``value`` through a flat view, and a reshape
         # of a non-contiguous array would be a copy that loses the update.
         self.value = np.asarray(value, dtype=np.float64, order="C")
-        self._buf = _GradBuffer()
+        self._grad = None
         self._stale = True
         self.name = name
 
-    def _claim(self):
-        """Take the buffer for a gradient that starts now."""
-        holder = self._buf.holder
-        if holder is not None:
-            raise SharedGradientError(
-                f"{self.name or 'param'}: its gradient buffer holds the live gradient of "
-                f"{holder}; zero that gradient first"
-            )
-        if self._buf.array is None:
-            self._buf.array = np.empty_like(self.value)
-        self._buf.holder = self.name or "param"
+    def _fresh(self):
+        """The gradient array, for a gradient that starts now."""
+        if self._grad is None:
+            self._grad = np.empty_like(self.value)
         self._stale = False
+        return self._grad
 
     @property
     def grad(self):
         if self._stale:
-            self._claim()
-            self._buf.array[...] = 0.0
-        return self._buf.array
+            self._fresh()[...] = 0.0
+        return self._grad
 
     @grad.setter
     def grad(self, value):
-        # ``p.grad += g`` reads the buffer, adds in place and assigns it back
+        # ``p.grad += g`` reads the array, adds in place and assigns it back
         if self._stale:
-            self._claim()
-        if value is not self._buf.array:
-            np.copyto(self._buf.array, value)
+            self._fresh()
+        if value is not self._grad:
+            np.copyto(self._grad, value)
 
     def zero_grad(self):
-        if not self._stale:
-            self._stale = True
-            self._buf.holder = None
+        self._stale = True
 
     def add_grad(self, op, *args):
         """Add ``op(*args)`` to the gradient.  A stale gradient is written
         whole by ``op(*args, out=grad)``, with no temporary and no zero
         fill; 0 + t equals t except that a -0 term stays -0."""
         if self._stale:
-            self._claim()
-            op(*args, out=self._buf.array)
+            op(*args, out=self._fresh())
         else:
-            self._buf.array += op(*args)
+            self._grad += op(*args)
 
-    def share_grad(self, other):
-        """Keep this Param's gradient in ``other``'s buffer from now on; its
-        own buffer is dropped and its gradient reads as zeros."""
+    def take_grad(self, other):
+        """Move ``other``'s gradient array to this Param; ``other`` keeps
+        none, and both gradients read as zeros."""
         if other.value.shape != self.value.shape:
             raise ShapeError(
-                f"{self.name or 'param'} {self.value.shape} cannot share the gradient "
-                f"buffer of {other.name or 'param'} {other.value.shape}"
+                f"{self.name or 'param'} {self.value.shape} cannot take the gradient "
+                f"array of {other.name or 'param'} {other.value.shape}"
             )
-        self.zero_grad()
-        self._buf = other._buf
+        array, other._grad = other._grad, None
+        self._grad = array
+        self._stale = other._stale = True
 
     def __repr__(self):
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"

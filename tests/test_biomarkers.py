@@ -416,6 +416,15 @@ def test_trial_validation():
         EegTrial(bad)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_trial_names_its_lowest_non_finite_channel(dtype):
+    channels = np.zeros((4, 10), dtype=dtype)
+    channels[2, 5] = np.nan
+    channels[3, 0] = np.inf
+    with pytest.raises(ValueError, match="^trial 't7': non-finite samples in channel 2$"):
+        EegTrial(channels, 128.0, "t7")
+
+
 @pytest.mark.parametrize("rate", [0.0, -128.0, np.nan, np.inf, -np.inf])
 def test_trial_rejects_a_sample_rate_that_is_not_positive_and_finite(rate):
     with pytest.raises(ValueError, match=f"trial 't7': sample_rate {rate} is not positive and finite"):

@@ -115,6 +115,17 @@ def test_train_validates_inputs():
         train_edcc(model, x1[:, :3], x2[:, :3], epochs=1)
 
 
+def test_cca_step_needs_more_paired_rows_than_components():
+    model = build_edcc((5, 4), projection_dim=3, seed=5)
+    x1, x2 = _paired_data(n=3, seed=5)
+    before = [p.value.copy() for p in model.params()]
+    with pytest.raises(ShapeError, match="^3 paired rows .* 3 components; it needs at least 4$"):
+        train_edcc(model, x1, x2, epochs=1)
+    for p, value in zip(model.params(), before):  # rejected before any training
+        np.testing.assert_array_equal(p.value, value)
+    train_edcc(model, x1, x2, epochs=1, cca_w=0.0)  # no CCA step, no such bound
+
+
 def test_infer_single_touches_one_modality_only():
     # corrupting modality 1's weights must not change modality 0's inference
     model = build_edcc((5, 4), hidden=6, seed=6)

@@ -14,7 +14,7 @@ from jmml.config import (
     MbplsConfig,
     RfConfig,
 )
-from jmml.errors import EmptyClassError, JmmlError, NumericalError
+from jmml.errors import EmptyClassError, JmmlError, NumericalError, ShapeError
 from jmml.experiment import (
     input_descriptor,
     render_table,
@@ -111,6 +111,15 @@ def test_stage_tag_keeps_the_error_type(tmp_path):
 def test_too_small_class_is_a_tagged_empty_class_error():
     cfg = replace(_small_config(), synth=SynthSpec(n_per_class=5, latent_dim=4, dims=(14, 10)))
     with pytest.raises(EmptyClassError, match=r"^\[stage=split\] class \+ has 5 samples"):
+        run_experiment(cfg)
+
+
+def test_too_few_paired_rows_for_the_cca_step_is_a_tagged_shape_error():
+    # passes the split's class-count check, but 18 paired rows cannot fit
+    # 20 canonical components
+    cfg = ExperimentConfig(seed=0, synth=SynthSpec(n_per_class=12), jecl=JeclConfig(epochs=2),
+                           edcc=EdccConfig(epochs=1), rf=RfConfig(n_estimators=4))
+    with pytest.raises(ShapeError, match=r"^\[stage=baseline_edcc\] 18 paired rows .* 20 components"):
         run_experiment(cfg)
 
 

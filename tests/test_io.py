@@ -210,6 +210,7 @@ def test_trials_csv_roundtrip(tmp_path):
     ("t2,A-,64.0,1,5.0,abc,7.0,8.0", NumericalError, "trial 't2': could not convert string to float: 'abc'"),
     ("t3,A-,fast,0,5.0,6.0,7.0,8.0", NumericalError, "trial 't3': could not convert string to float: 'fast'"),
     ("t2,A-,64.0,1,5.0,6.0,7.0", ShapeError, r"trial 't2' has channel rows of \[3, 4\] samples"),
+    ("t2,A-,64.0,1,5.0,nan,7.0,-inf", NumericalError, "trial 't2': non-finite samples in channel 1"),
     *[(f"t3,A-,{rate},0,5.0,6.0,7.0,8.0", RangeError,
        f"trial 't3': sample rate {float(rate)} Hz is not positive and finite")
       for rate in ("nan", "inf", "-inf", "0.0")],
@@ -246,6 +247,16 @@ def test_binary_trials_rate_not_positive_and_finite_names_file_and_trial(tmp_pat
     write_trials(path, [trial], ["V+"])
     with pytest.raises(RangeError, match=re.escape(
             f"trials.eegt: trial 't1': sample rate {rate} Hz is not positive and finite")):
+        read_trials(path)
+
+
+def test_binary_trials_non_finite_sample_names_file_trial_and_channel(tmp_path):
+    trial = EegTrial(np.zeros((3, 4)), 64.0, "t1")
+    trial.channels[1, 2] = np.nan  # as a corrupt or foreign writer would leave it
+    path = tmp_path / "trials.eegt"
+    write_trials(path, [EegTrial(np.zeros((2, 4)), 64.0, "t0"), trial], ["V+", "V-"])
+    with pytest.raises(NumericalError, match=re.escape(
+            "trials.eegt: trial 't1': non-finite samples in channel 1")):
         read_trials(path)
 
 

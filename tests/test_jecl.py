@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jmml.errors import DegenerateVector, EmptyClassError, ShapeError, SharedGradientError
+from jmml.errors import DegenerateVector, EmptyClassError, ShapeError
 from jmml.jecl import (
     block_loss,
     build_jecl,
@@ -292,33 +292,30 @@ def test_shared_gradient_buffers_match_separate_buffers_bit_for_bit():
     assert int(np.argmin(trace.validation)) < len(trace.total) - 1  # it restored
     _assert_same_params(model, reference)
     assert trace == ref_trace  # losses, validation and step counts, bit for bit
-    # the reference's blocks kept their own gradients; the trained blocks
-    # hold only the last turn's
+    # the reference's blocks kept their own gradients
     assert all(p.grad.any() for b in reference.blocks for p in b.private_params())
-    with pytest.raises(SharedGradientError):
-        model.blocks[0].private_params()[0].grad
 
 
-def test_blocks_that_share_gradient_buffers_never_see_each_others():
+def test_only_the_last_trained_block_holds_private_gradient_arrays():
+    rng = np.random.default_rng(24)
+    model = build_jecl(input_dim=5, num_classes=3, seed=24)
+    train_jecl(model, {c: rng.standard_normal((20, 5)) + c for c in (1, 2, 3)}, epochs=3, seed=24)
+    *earlier, last = model.blocks
+    assert all(p._grad is None for b in earlier for p in b.private_params())
+    assert all(p._grad is not None for p in last.private_params() + last.shared_params())
+
+
+def test_trained_blocks_never_see_each_others_gradients():
     model = build_jecl(input_dim=5, num_classes=2, seed=24)
     data = _two_class_data(d=5, seed=24)
-    train_jecl(model, data, epochs=2, seed=24)  # shares the buffers
+    train_jecl(model, data, epochs=2, seed=24)  # hands the arrays round the blocks
     first, second = model.blocks
     zero_grads([p for b in model.blocks for p in b.private_params() + b.shared_params()])
     block_loss(first, data[1], backward=True)
     live = [p.grad.copy() for p in first.private_params()]
-    # writing block 2's gradients while block 1's are live raises, and
-    # block 1's numbers stay as they were
-    with pytest.raises(SharedGradientError, match=r"^b2\..* live gradient of b1\."):
-        block_loss(second, data[2], backward=True)
+    block_loss(second, data[2], backward=True)
     for p, g in zip(first.private_params(), live):
         np.testing.assert_array_equal(p.grad, g)
-    # after a zero, block 2 writes the buffers and block 1 can read none of them
-    zero_grads(first.private_params() + first.shared_params())
-    block_loss(second, data[2], backward=True)
-    for p in first.private_params():
-        with pytest.raises(SharedGradientError, match=f"^{p.name}: .* live gradient of b2\\."):
-            p.grad
 
 
 def test_jecl_training_holds_one_blocks_private_gradients():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jmml.errors import NumericalError, ShapeError, SharedGradientError
+from jmml.errors import NumericalError, ShapeError
 from jmml.losses import grad_check
 from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, zero_grads
 from jmml.serialize import load_checkpoint, save_checkpoint
@@ -193,37 +193,30 @@ def test_training_step_allocates_no_weight_sized_temporary():
     assert peak < layer.w.value.nbytes / 4
 
 
-def test_shared_grad_buffer_holds_one_live_gradient():
+def test_take_grad_moves_the_array_and_leaves_both_stale():
     rng = np.random.default_rng(8)
     first = Param(rng.standard_normal((3, 2)), name="first")
     second = Param(rng.standard_normal((3, 2)), name="second")
-    second.share_grad(first)
-    g1, g2 = rng.standard_normal((2, 3, 2))
+    g1, g2, g3 = rng.standard_normal((3, 3, 2))
     first.add_grad(np.positive, g1)
-    # the buffer holds first's live gradient: no write of second's lands
-    for write in (lambda: second.add_grad(np.positive, g2),
-                  lambda: setattr(second, "grad", g2),
-                  lambda: second.grad):
-        with pytest.raises(SharedGradientError, match="^second: .* live gradient of first"):
-            write()
-    second.zero_grad()  # a stale Param's zero_grad frees nothing
-    np.testing.assert_array_equal(first.grad, g1)
-    first.zero_grad()
+    array = first.grad
+    second.take_grad(first)
+    assert first._grad is None  # the source keeps no array
+    # both are stale: the first write to the moved array replaces first's numbers
     second.add_grad(np.positive, g2)
-    # first's gradient was zeroed and the buffer now holds second's numbers
-    with pytest.raises(SharedGradientError, match="^first: .* live gradient of second"):
-        first.grad
-    with pytest.raises(SharedGradientError, match="first"):
-        Adam().step([first])
+    assert second.grad is array
+    np.testing.assert_array_equal(array, g2)
+    # the source reads zeros from an array of its own, and writes only there
+    assert not first.grad.any() and first.grad is not array
+    first.add_grad(np.positive, g3)
+    np.testing.assert_array_equal(first.grad, g3)
     np.testing.assert_array_equal(second.grad, g2)
-    second.zero_grad()
-    assert not first.grad.any()  # a freed buffer reads as zeros again
 
 
-def test_share_grad_needs_equal_shapes():
+def test_take_grad_needs_equal_shapes():
     p, q = Param(np.zeros((2, 3)), name="p"), Param(np.zeros((3, 2)), name="q")
-    with pytest.raises(ShapeError, match=r"p \(2, 3\) cannot share .* q \(3, 2\)"):
-        p.share_grad(q)
+    with pytest.raises(ShapeError, match=r"p \(2, 3\) cannot take .* q \(3, 2\)"):
+        p.take_grad(q)
 
 
 def test_adam_nan_grad_moves_no_param():
