@@ -187,8 +187,6 @@ def main(argv=None):
     try:
         args.func(args)
     except Exception as err:  # surface library errors as clean CLI failures
-        if isinstance(err, (SystemExit, KeyboardInterrupt)):
-            raise
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -57,8 +57,7 @@ class ModalityNets:
 
     def params(self):
         return (
-            self.encoder.params()
-            + [self.projection.w, self.projection.b]
+            self.encoder_params()
             + self.decoder.params()
             + [self.s_head.w, self.s_head.b, self.x_head.w, self.x_head.b]
         )
@@ -124,6 +123,13 @@ def build_edcc(input_dims, setup="setup3", hidden=None, projection_dim=20, seed=
         x_head = DenseLayer.create(h, other, "linear", rng, name=f"m{m}.xrec")
         mods.append(ModalityNets(encoder, projection, decoder, s_head, x_head))
     return EdccCaeModel(mods, tuple(input_dims), projection_dim)
+
+
+def _check_cca_rows(n, projection_dim):
+    """``ShapeError`` if ``n`` paired rows are too few for the CCA step."""
+    if n < projection_dim + 1:
+        raise ShapeError(f"{n} paired rows are too few for the CCA step's {projection_dim} "
+                         f"components; it needs at least {projection_dim + 1}")
 
 
 def _check_unit_range(x, what):
@@ -227,10 +233,8 @@ def train_edcc(
         raise PairingError(f"sample counts differ: {x1.shape[0]} vs {x2.shape[0]}")
     if x1.shape[1] != model.input_dims[0] or x2.shape[1] != model.input_dims[1]:
         raise ShapeError("modality dims do not match the model")
-    if cca_w != 0.0 and x1.shape[0] < model.projection_dim + 1:
-        raise ShapeError(f"{x1.shape[0]} paired rows are too few for the CCA step's "
-                         f"{model.projection_dim} components; it needs at least "
-                         f"{model.projection_dim + 1}")
+    if cca_w != 0.0:
+        _check_cca_rows(x1.shape[0], model.projection_dim)
     _check_unit_range(x1, "modality-1 data")
     _check_unit_range(x2, "modality-2 data")
     if labels is not None:
@@ -309,10 +313,8 @@ def classifier_features(model, modality, x):
 
 def canonical_correlation(model, x1, x2, reg=1e-4):
     """Mean canonical correlation of the two projection heads on data."""
-    _acts1, proj1 = _encode(model.modalities[0], np.atleast_2d(x1))
-    _acts2, proj2 = _encode(model.modalities[1], np.atleast_2d(x2))
-    rep = loss_cca(proj1, proj2, reg)
-    return -rep.value / model.projection_dim
+    cca = _cca_pass(model, np.atleast_2d(x1), np.atleast_2d(x2), reg, 1.0, backward=False)
+    return -cca / model.projection_dim
 
 
 def save_edcc(model, path):

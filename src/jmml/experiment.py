@@ -169,21 +169,36 @@ def _jec_ssl(feats, pools, config, seed):
     return out
 
 
-def _cross_modal(feats, pools, config, seed):
-    """The cross-modal autoencoder on ``feats``; per modality the
-    [input, self-reconstruction] matrices.
+def _label_paired(pools, config):
+    """Whether the cross-modal stages pair rows by label, not by index.
 
     The synthetic corpus is parallel (both modalities observe the same
-    latent row for row), so pairs go by index.  CSV corpora share only
-    their labels; there pairs are drawn by label at ``config.seed + 5`` and
-    re-drawn every training epoch.
+    latent row for row), so its pools pair by index while their labels
+    agree.  CSV corpora share only their labels; there pairs are drawn by
+    label at ``config.seed + 5`` and re-drawn every training epoch.
     """
-    (tr1, _te1), (tr2, _te2) = feats
-    if config.synth is not None and np.array_equal(pools[0].y, pools[1].y):
-        pairs = tr1, tr2, None
+    return config.synth is None or not np.array_equal(pools[0].y, pools[1].y)
+
+
+def _check_paired_rows(pools, config):
+    """The CCA step's row check, made on the row count the cross-modal
+    stages will pair (by label: the larger class count per label)."""
+    if _label_paired(pools, config):
+        n = sum(max(np.count_nonzero(pool.y == label) for pool in pools) for label in (POS, NEG))
     else:
+        n = len(pools[0])
+    edcc._check_cca_rows(n, config.edcc.projection_dim)
+
+
+def _cross_modal(feats, pools, config, seed):
+    """The cross-modal autoencoder on ``feats``; per modality the
+    [input, self-reconstruction] matrices."""
+    (tr1, _te1), (tr2, _te2) = feats
+    if _label_paired(pools, config):
         pairs = pair_by_label(replace(pools[0], x=tr1), replace(pools[1], x=tr2),
                               seed=config.seed + 5)
+    else:
+        pairs = tr1, tr2, None
     model, _trace = fit_cross_modal(pairs, (tr1, tr2), config.edcc, seed)
     return [tuple(edcc.classifier_features(model, m, x) for x in feats[m]) for m in range(2)]
 
@@ -213,6 +228,10 @@ def run_experiment(config: ExperimentConfig):
     for name in reversed(STAGES):
         if name in needed:
             needed.add(STAGES[name][1])
+    cross_modal = [name for name in STAGES if name in needed and STAGES[name][0] is _cross_modal]
+    if cross_modal and config.edcc.cca_w != 0.0:  # fail before any stage trains
+        with _stage(cross_modal[0]):
+            _check_paired_rows(pools, config)
     feats = {"baseline": [(pool.x, test.x) for pool, test in zip(pools, tests)]}
     for name, (stage_fn, source, offset) in STAGES.items():
         if name in needed:

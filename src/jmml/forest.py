@@ -318,10 +318,7 @@ def evaluate(y_true, y_pred, average="macro"):
     p = _encode_labels(y_pred)
     if t.shape != p.shape:
         raise ShapeError("y_true and y_pred lengths differ")
-    tp = int(np.sum((t == 1) & (p == 1)))
-    fn = int(np.sum((t == 1) & (p == 0)))
-    fp = int(np.sum((t == 0) & (p == 1)))
-    tn = int(np.sum((t == 0) & (p == 0)))
+    tn, fp, fn, tp = np.bincount(2 * t + p, minlength=4).tolist()
     confusion = np.array([[tp, fn], [fp, tn]])
     accuracy = 100.0 * (tp + tn) / t.size
     f1_pos = _f1(tp, fp, fn)

@@ -175,8 +175,7 @@ def read_trials_csv(path):
     finite, or rows of one trial with different sample rates,
     ``RangeError``, and rows with different labels ``LabelError``; each
     names the file and the trial."""
-    groups = {}
-    order = []
+    groups = {}  # trial id -> its label, rate and channel rows, in file order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -188,7 +187,6 @@ def read_trials_csv(path):
                 rate = _sample_rate(path, tid, float(rec[2]))
                 if tid not in groups:
                     groups[tid] = {"label": rec[1], "rate": rate, "channels": []}
-                    order.append(tid)
                 groups[tid]["channels"].append([float(v) for v in rec[4:]])
             except ValueError as err:
                 raise NumericalError(f"{path}: trial {tid!r}: {err}") from None
@@ -198,14 +196,12 @@ def read_trials_csv(path):
             if rate != groups[tid]["rate"]:
                 raise RangeError(f"{path}: trial {tid!r} has rows sampled at "
                                  f"{groups[tid]['rate']} and {rate} Hz")
-    for tid in order:
-        lengths = sorted({len(row) for row in groups[tid]["channels"]})
+    for tid, group in groups.items():
+        lengths = sorted({len(row) for row in group["channels"]})
         if len(lengths) > 1:
             raise ShapeError(f"{path}: trial {tid!r} has channel rows of {lengths} samples")
-    trials = [
-        _trial(path, np.array(groups[tid]["channels"]), groups[tid]["rate"], tid) for tid in order
-    ]
-    return trials, [groups[tid]["label"] for tid in order]
+    trials = [_trial(path, np.array(g["channels"]), g["rate"], tid) for tid, g in groups.items()]
+    return trials, [g["label"] for g in groups.values()]
 
 
 def trim_pretrial(trial, pre_seconds=3.0, total_seconds=63.0):

@@ -272,19 +272,17 @@ def embed(model, x):
     Returns shape (C, N) for a vector input, (batch, C, N) for a matrix.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.input_dim:
-        raise ShapeError(f"input dim {x2.shape[1]} != {model.input_dim}")
-    outs = np.stack([b.forward(x2)["fused"] for b in model.blocks], axis=1)
-    return outs[0] if single else outs
+    outs = np.stack(embed_blocks(model, x), axis=1)
+    return outs[0] if x.ndim == 1 else outs
 
 
 def embed_blocks(model, x):
     """Per-block embeddings as a list of C (batch, N) matrices — the input
     block layout the multiblock regression stage consumes."""
-    out = embed(model, np.atleast_2d(x))
-    return [out[:, j, :] for j in range(model.num_classes)]
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x2.shape[1] != model.input_dim:
+        raise ShapeError(f"input dim {x2.shape[1]} != {model.input_dim}")
+    return [b.forward(x2)["fused"] for b in model.blocks]
 
 
 def save_jecl(model, path):

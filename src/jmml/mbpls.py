@@ -15,7 +15,7 @@ inf in the blocks or the target raises ``NumericalError``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,12 +82,11 @@ def fit(blocks, target, n_components):
     t_cols, imp_rows = [], []
     x_def = np.hstack(xc)
     y_def = yc.copy()
-    k_actual = 0
     for _k in range(n_components):
         w, ok = _dominant_weight(x_def, y_def)
         if not ok:
             warnings.warn(
-                f"rank exhausted after {k_actual} of {n_components} LVs; reducing component count",
+                f"rank exhausted after {len(w_cols)} of {n_components} LVs; reducing component count",
                 RuntimeWarning,
             )
             break
@@ -106,7 +105,7 @@ def fit(blocks, target, n_components):
         tt = t_super @ t_super
         if tt <= 0.0:
             warnings.warn(
-                f"degenerate super score after {k_actual} LVs; reducing component count",
+                f"degenerate super score after {len(w_cols)} LVs; reducing component count",
                 RuntimeWarning,
             )
             break
@@ -121,21 +120,17 @@ def fit(blocks, target, n_components):
         v_cols.append(v)
         t_cols.append(t_super)
         imp_rows.append(imp / imp.sum())
-        k_actual += 1
 
-    if k_actual == 0:
+    if not w_cols:
         raise ValueError("no latent variable could be extracted (zero-variance data)")
     w_mat = np.column_stack(w_cols)
     w_eff_mat = np.column_stack(w_eff_cols)
     p_mat = np.column_stack(p_cols)
     v_mat = np.column_stack(v_cols)
     t_mat = np.column_stack(t_cols)
-    # rotation: T_s = Xc R with R = W_eff (P^T W_eff)^{-1}
-    rot = w_eff_mat @ np.linalg.inv(p_mat.T @ w_eff_mat)
-    beta = rot @ v_mat.T
     resid = yc - t_mat @ v_mat.T
     return MbplsModel(
-        n_components=k_actual,
+        n_components=len(w_cols),
         block_dims=dims,
         x_means=x_means,
         y_mean=y_mean,
@@ -145,9 +140,15 @@ def fit(blocks, target, n_components):
         target_loadings=v_mat,
         super_scores=t_mat,
         importance=np.column_stack(imp_rows),
-        beta=beta,
+        beta=_beta(w_eff_mat, p_mat, v_mat),
         residual_norm=float(np.linalg.norm(resid)),
     )
+
+
+def _beta(w_eff, loadings, target_loadings):
+    """Regression map of the LVs given, from the rotation T_s = Xc R with
+    R = W_eff (P^T W_eff)^{-1}: beta = R V^T."""
+    return (w_eff @ np.linalg.inv(loadings.T @ w_eff)) @ target_loadings.T
 
 
 def _dominant_weight(x, y):
@@ -203,7 +204,8 @@ def tune_lv(blocks, target, lv_grid, folds=5, seed=0):
 
     Grid values are clipped to what the fold sizes and data rank admit.
     Ties break to the smallest K.  Raises ``ShapeError`` when the fold
-    sizes admit no LV count.
+    sizes admit no LV count.  Each fold is fitted once, at the largest K:
+    a K-LV fit is the first K LVs of any larger fit.
     """
     mats = _stack_blocks(blocks)
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))
@@ -211,11 +213,19 @@ def tune_lv(blocks, target, lv_grid, folds=5, seed=0):
     p_total = sum(m.shape[1] for m in mats)
     rank_cap = min(n - (n // folds + 1) - 1, p_total)
     grid = sorted({min(k, rank_cap) for k in lv_grid if min(k, rank_cap) >= 1})
+    fold_fits = {}  # keyed by a fold's training rows, which alone fix its fit
 
     def mse(k, train_idx, test_idx):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = fit([m[train_idx] for m in mats], y[train_idx], k)
+        key = train_idx.tobytes()
+        if key not in fold_fits:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fold_fits[key] = fit([m[train_idx] for m in mats], y[train_idx], grid[-1])
+        model = fold_fits[key]
+        # the first k LVs (a slice stops where the fit did), copied C-contiguous
+        # as fit's are: a strided view can change the last bit of beta
+        lvs = (model.weights_eff, model.loadings, model.target_loadings)
+        model = replace(model, beta=_beta(*(np.ascontiguousarray(a[:, :k]) for a in lvs)))
         return np.mean((y[test_idx] - predict(model, [m[test_idx] for m in mats])) ** 2)
 
     best_k = cv_select(grid, n, folds, seed, mse)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from jmml import edcc, jecl, mbpls
-from jmml.biomarkers import EegTrial
+from jmml.biomarkers import EegTrial, FeatureSelection, extract_trial
 from jmml.cli import build_parser, cmd_extract, main
 from jmml.config import ExperimentConfig, load_config
 from jmml.errors import LabelError
-from jmml.experiment import classify
-from jmml.io import read_feature_csv, write_feature_csv, write_trials
+from jmml.experiment import classify, rows_to_json, run_experiment
+from jmml.io import read_feature_csv, trim_pretrial, write_feature_csv, write_trials
 from jmml.pipeline import (
     SynthSpec,
     mco_oversample,
@@ -99,6 +99,17 @@ def test_extract_verb_refuses_a_label_it_cannot_keep(tmp_path, capsys, labels, m
         cmd_extract(build_parser().parse_args(["extract", str(container), str(out)]))
     assert main(["extract", str(container), str(out)]) == 1
     assert re.search(message, capsys.readouterr().err) and not out.exists()
+
+
+def test_extract_verb_trims_the_pretrial_window(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    trials = [EegTrial(rng.standard_normal((2, 1024)), 128.0, f"t{i}") for i in range(2)]
+    container, out = tmp_path / "trials.eegt", tmp_path / "features.csv"
+    write_trials(container, trials, ["V+", "V-"])
+    assert main(["extract", str(container), str(out), "--trim"]) == 0
+    selection = FeatureSelection()
+    expected = [extract_trial(trim_pretrial(t), selection, k_max=8).values for t in trials]
+    np.testing.assert_array_equal(read_feature_csv(out).x, expected)
 
 
 def test_extract_verb_refuses_an_empty_container(tmp_path, capsys):
@@ -288,7 +299,8 @@ def test_csv_verbs_read_the_config_dimension(tmp_path, two_axis_csv, capsys):
     assert "mixes axes" in capsys.readouterr().err
 
 
-def test_run_verb(tmp_path, capsys):
+@pytest.fixture
+def run_yaml(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "setup: baseline\n"
@@ -296,12 +308,29 @@ def test_run_verb(tmp_path, capsys):
         " seed: 0, class_separation: 2.0}\n"
         "rf: {n_estimators: 10, max_depth: 4}\n"
     )
+    return str(cfg)
+
+
+def test_run_verb(tmp_path, run_yaml, capsys):
     out = tmp_path / "report.json"
-    rc = main(["run", "--config", str(cfg), "--out", str(out), "--table"])
+    rc = main(["run", "--config", run_yaml, "--out", str(out), "--table"])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert len(doc) == 2
     assert "Experiment Setup" in capsys.readouterr().out
+
+
+def test_run_verb_seed_overrides_the_config_seed(tmp_path, run_yaml, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", run_yaml, "--seed", "3", "--out", str(out)]) == 0
+    config = load_config(run_yaml)
+    assert out.read_text() == rows_to_json(run_experiment(replace(config, seed=3)))
+    assert out.read_text() != rows_to_json(run_experiment(config))
+
+
+def test_run_verb_prints_the_report_without_out(run_yaml, capsys):
+    assert main(["run", "--config", run_yaml]) == 0
+    assert capsys.readouterr().out == rows_to_json(run_experiment(load_config(run_yaml))) + "\n"
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -16,7 +16,7 @@ from jmml.edcc import (
     train_edcc,
 )
 from jmml.errors import PairingError, RangeError, ShapeError, UnsupportedConfiguration
-from jmml.losses import grad_check
+from jmml.losses import grad_check, loss_cca
 from jmml.net import zero_grads
 
 
@@ -102,6 +102,14 @@ def test_training_improves_objective_and_correlation():
     assert trace[-1].total < trace[0].total
     corr_after = canonical_correlation(model, x1, x2, reg=1e-3)
     assert corr_after > corr_before
+
+
+def test_canonical_correlation_is_the_cca_loss_per_component():
+    model = build_edcc((5, 4), hidden=8, projection_dim=2, seed=4)
+    x1, x2 = _paired_data(n=60, seed=4)
+    train_edcc(model, x1, x2, epochs=2, batch_size=16, reg=1e-3, seed=4)
+    proj1, proj2 = (infer_single(model, m, x).projection for m, x in enumerate((x1, x2)))
+    assert canonical_correlation(model, x1, x2, reg=1e-3) == -loss_cca(proj1, proj2, 1e-3).value / 2
 
 
 def test_train_validates_inputs():

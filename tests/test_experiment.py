@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jmml import experiment, mbpls
 from jmml.config import (
     SETUP_CHAIN,
     EdccConfig,
@@ -121,6 +122,31 @@ def test_too_few_paired_rows_for_the_cca_step_is_a_tagged_shape_error():
                            edcc=EdccConfig(epochs=1), rf=RfConfig(n_estimators=4))
     with pytest.raises(ShapeError, match=r"^\[stage=baseline_edcc\] 18 paired rows .* 20 components"):
         run_experiment(cfg)
+
+
+def test_too_few_paired_rows_fail_before_any_stage_trains(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the jec_ssl stage trained before the paired-row check")
+
+    monkeypatch.setattr(experiment, "fit_jecl", no_training)
+    cfg = ExperimentConfig(seed=0, synth=SynthSpec(n_per_class=12), jecl=JeclConfig(epochs=2),
+                           edcc=EdccConfig(epochs=1), rf=RfConfig(n_estimators=4))
+    with pytest.raises(ShapeError, match=r"^\[stage=baseline_edcc\] 18 paired rows .* 20 components"):
+        run_experiment(cfg)
+    # a jmml-only run tags its own cross-modal stage
+    with pytest.raises(ShapeError, match=r"^\[stage=jmml\] 18 paired rows"):
+        run_experiment(replace(cfg, setup="jmml"))
+
+
+def test_fit_pls_tunes_the_lv_count_when_asked():
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((40, 5)), rng.standard_normal((40, 4))]
+    target = np.hstack(blocks)[:, :3] @ rng.standard_normal((3, 2)) + 0.1 * rng.standard_normal((40, 2))
+    cfg = MbplsConfig(n_components=8, tune=True, lv_grid=(1, 3, 6, 60), folds=4)
+    pls = experiment.fit_pls(blocks, target, cfg, 0, seed=5)
+    k = mbpls.tune_lv(blocks, target, cfg.lv_grid, folds=4, seed=5)
+    assert pls.n_components == k != cfg.n_components
+    np.testing.assert_array_equal(pls.beta, mbpls.fit(blocks, target, k).beta)
 
 
 def test_jmml_reuses_jec_ssl_representations():

@@ -339,6 +339,13 @@ def test_evaluate_confusion_and_accuracy_oracle():
     rep = evaluate(y_true, y_pred)
     np.testing.assert_array_equal(rep.confusion, [[2, 1], [1, 2]])
     assert rep.accuracy == pytest.approx(100.0 * 4 / 6)
+    # tp, fn, fp and tn all differ, so no two counts can trade places unseen
+    y_true = np.array([POS] * 4 + [NEG] * 6)
+    y_pred = np.array([POS, POS, POS, NEG] + [POS, POS, NEG, NEG, NEG, NEG])
+    rep = evaluate(y_true, y_pred, average="positive")
+    np.testing.assert_array_equal(rep.confusion, [[3, 1], [2, 4]])
+    assert rep.accuracy == pytest.approx(100.0 * 7 / 10)
+    assert rep.f1 == pytest.approx(100.0 * 2 * 3 / (2 * 3 + 2 + 1))
 
 
 def test_f1_macro_weighted_positive():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jmml import mbpls
 from jmml.errors import NumericalError, ShapeError
 from jmml.jecl import build_jecl, save_jecl
 from jmml.mbpls import (
@@ -16,6 +17,7 @@ from jmml.mbpls import (
     save_mbpls,
     tune_lv,
 )
+from jmml.pipeline import cv_select
 
 
 def classical_pls2(x, y, n_components, max_iter=2000, tol=1e-12, return_weights=False):
@@ -249,3 +251,71 @@ def test_tune_lv_raises_when_folds_admit_no_lv_count():
     x, y = _random_problem(13, n=2, p=3, q=1)
     with pytest.raises(ShapeError, match=r"tune_lv.*n=2.*folds=2"):
         tune_lv([x], y, [2, 4], folds=2)
+
+
+def _tune_lv_cases():
+    x, y = _random_problem(14, n=60, p=10, q=2, rank=3)
+    rng = np.random.default_rng(15)
+    base = rng.standard_normal((36, 3))
+    wide = rng.standard_normal((30, 24))
+    return {
+        # full rank, two blocks, a grid that holds 1
+        "full_rank": ([x[:, :6], x[:, 6:]], y, [1, 2, 3, 5, 8], 4),
+        # rank 3 in 6 columns: every fold's fit stops at 3 LVs, below 4 and 6
+        "rank_deficient": ([base, base @ rng.standard_normal((3, 3))],
+                           base @ rng.standard_normal((3, 2)), [1, 2, 4, 6], 5),
+        # more columns than rows, many LV counts
+        "wide": ([wide[:, :10], wide[:, 10:]], wide[:, :3] @ rng.standard_normal((3, 2)),
+                 list(range(1, 20, 3)), 5),
+        # more folds than rows: two test parts are empty, so no K scores
+        "empty_test_folds": ([x[:5, :3]], y[:5], [1, 2], 7),
+    }
+
+
+def _tune_lv_by_refit(blocks, y, lv_grid, folds, seed, losses):
+    """The per-K refit loop: a fresh K-LV fit for every (K, fold)."""
+    n = len(y)
+    rank_cap = min(n - (n // folds + 1) - 1, sum(b.shape[1] for b in blocks))
+    grid = sorted({min(k, rank_cap) for k in lv_grid if min(k, rank_cap) >= 1})
+
+    def mse(k, train_idx, test_idx):
+        model = fit([b[train_idx] for b in blocks], y[train_idx], k)
+        losses.append(np.mean((y[test_idx] - predict(model, [b[test_idx] for b in blocks])) ** 2))
+        return losses[-1]
+
+    return cv_select(grid, n, folds, seed, mse)
+
+
+@pytest.mark.parametrize("case", list(_tune_lv_cases()))
+def test_tune_lv_fold_losses_equal_a_refit_per_lv_count(monkeypatch, case):
+    # one fit per fold must score every K bit for bit as a fresh K-LV fit does
+    blocks, y, grid, folds = _tune_lv_cases()[case]
+    losses, ref_losses, fit_ks, grids = [], [], [], []
+
+    def recording_cv_select(candidates, n, folds, seed, loss):
+        grids.append(candidates)
+
+        def recorded(k, train_idx, test_idx):
+            losses.append(loss(k, train_idx, test_idx))
+            return losses[-1]
+        return cv_select(candidates, n, folds, seed, recorded)
+
+    def recording_fit(blocks, target, n_components):
+        fit_ks.append(n_components)
+        return fit(blocks, target, n_components)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rank runs out; empty parts score NaN
+        ref_best = _tune_lv_by_refit(blocks, y, grid, folds, 2, ref_losses)
+        with monkeypatch.context() as patch:
+            patch.setattr(mbpls, "cv_select", recording_cv_select)
+            patch.setattr(mbpls, "fit", recording_fit)
+            try:
+                best = tune_lv(blocks, y, grid, folds=folds, seed=2)
+            except ShapeError:
+                best = None
+    np.testing.assert_array_equal(losses, ref_losses)
+    assert best == ref_best and (best is None) == (case == "empty_test_folds")
+    # one fit per fold at the largest clipped K; the two folds with empty
+    # test parts train on the same rows, so they share one
+    assert fit_ks == [grids[0][-1]] * (folds - (case == "empty_test_folds"))
