@@ -26,7 +26,7 @@ import numpy as np
 from . import edcc, forest, jecl, mbpls
 from .config import ExperimentConfig
 from .edcc import MinMaxScaler
-from .errors import JmmlError
+from .errors import DegenerateVector, JmmlError
 from .forest import NEG, POS
 from .io import read_feature_csv
 from .pipeline import mco_oversample, pair_by_label, resample_to_size, stratified_split, synth_bimodal
@@ -169,6 +169,17 @@ def _jec_ssl(feats, pools, config, seed):
     return out
 
 
+def _check_spread(pools):
+    """Each pool needs a feature with a nonzero std, as ``_jec_ssl``
+    computes it: otherwise every standardized row has zero norm, and
+    JECL's cosine terms have no direction to score."""
+    for m, pool in enumerate(pools):
+        if not pool.x.std(axis=0).any():
+            cause = "is constant" if np.ptp(pool.x, axis=0).max() == 0 else "has a std that underflows to 0"
+            raise DegenerateVector(f"modality {m + 1} ({pool.modality}): every feature {cause} "
+                                   f"over its {len(pool)} training rows")
+
+
 def _label_paired(pools, config):
     """Whether the cross-modal stages pair rows by label, not by index.
 
@@ -232,6 +243,9 @@ def run_experiment(config: ExperimentConfig):
     if cross_modal and config.edcc.cca_w != 0.0:  # fail before any stage trains
         with _stage(cross_modal[0]):
             _check_paired_rows(pools, config)
+    if "jec_ssl" in needed:
+        with _stage("jec_ssl"):
+            _check_spread(pools)
     feats = {"baseline": [(pool.x, test.x) for pool, test in zip(pools, tests)]}
     for name, (stage_fn, source, offset) in STAGES.items():
         if name in needed:

@@ -31,7 +31,7 @@ Feature values must be finite: ``fit_rf`` and ``predict`` raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -318,6 +318,8 @@ def evaluate(y_true, y_pred, average="macro"):
     p = _encode_labels(y_pred)
     if t.shape != p.shape:
         raise ShapeError("y_true and y_pred lengths differ")
+    if t.size == 0:
+        raise ShapeError("evaluate: no labels to score")
     tn, fp, fn, tp = np.bincount(2 * t + p, minlength=4).tolist()
     confusion = np.array([[tp, fn], [fp, tn]])
     accuracy = 100.0 * (tp + tn) / t.size
@@ -339,19 +341,34 @@ def grid_search(x, y, estimator_grid=(50, 100, 200), depth_grid=(4, 8, 16), fold
     """Best (n_estimators, max_depth) by mean cross-validated macro F1.
 
     Ties break to fewer trees, then shallower depth.  Raises
-    ``SingleClassError`` when no fold's training part holds both classes.
+    ``ShapeError`` unless 2 <= folds <= n, and ``SingleClassError`` when no
+    fold's training part holds both classes.  Each (fold, depth) is fitted
+    once, at the largest tree count: tree i draws from child i of the
+    forest seed's ``SeedSequence``, so a k-tree fit is the first k trees
+    of any larger one.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y)
+    n = x.shape[0]
+    if not 2 <= folds <= n:
+        raise ShapeError(f"forest grid search: n={n} samples cannot fill folds={folds}")
+    counts = sorted(estimator_grid)
+    if min(counts, default=0) < 1:
+        raise ValueError("need at least 1 tree")
+    fold_votes = {}  # keyed by a fold's training rows and the depth, which alone fix its fit
 
     def neg_f1(size, train_idx, test_idx):
         if len(np.unique(y[train_idx])) < 2:
             return None
-        forest = fit_rf(x[train_idx], y[train_idx], *size, seed=seed)
-        return -evaluate(y[test_idx], predict(forest, x[test_idx])).f1
+        key = train_idx.tobytes(), size[1]
+        if key not in fold_votes:
+            rf = fit_rf(x[train_idx], y[train_idx], counts[-1], size[1], seed=seed)
+            # a prefix keeps the whole table's depth; its walks only idle at leaves
+            fold_votes[key] = {k: predict(replace(rf, trees=rf.trees[:k]), x[test_idx]) for k in counts}
+        return -evaluate(y[test_idx], fold_votes[key][size[0]]).f1
 
-    sizes = [(n_est, depth) for n_est in sorted(estimator_grid) for depth in sorted(depth_grid)]
-    best = cv_select(sizes, x.shape[0], folds, seed, neg_f1)
+    sizes = [(n_est, depth) for n_est in counts for depth in sorted(depth_grid)]
+    best = cv_select(sizes, n, folds, seed, neg_f1)
     if best is None:
         raise SingleClassError("forest grid search: no fold's training part holds both classes")
     return best

@@ -98,8 +98,13 @@ def unique_params(params):
 
 
 def glorot_uniform(rng, fan_in, fan_out):
+    """Glorot-uniform weights: ``rng.uniform(-limit, limit, (fan_in, fan_out))``
+    bit for bit, drawn in three array operations."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    w = rng.random((fan_in, fan_out))  # uniform computes low + (high - low) * u
+    w *= 2.0 * limit
+    w += -limit
+    return w
 
 
 @dataclass(eq=False)

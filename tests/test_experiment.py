@@ -15,7 +15,7 @@ from jmml.config import (
     MbplsConfig,
     RfConfig,
 )
-from jmml.errors import EmptyClassError, JmmlError, NumericalError, ShapeError
+from jmml.errors import DegenerateVector, EmptyClassError, JmmlError, NumericalError, ShapeError
 from jmml.experiment import (
     input_descriptor,
     render_table,
@@ -156,16 +156,36 @@ def test_jmml_reuses_jec_ssl_representations():
     assert rows[0].modality == 1 and rows[1].modality == 2
 
 
-def _label_paired_csv_config(tmp_path):
+def _label_paired_csv_config(tmp_path, m2_x=None):
     # modality 2 keeps a different subset of rows, so its pool differs in
-    # size and order and the cross-modal stages pair rows by label
+    # size and order and the cross-modal stages pair rows by label;
+    # ``m2_x`` maps its feature matrix before it is written
     ds1, ds2 = synth_bimodal(SynthSpec(n_per_class=50, latent_dim=4, dims=(12, 8), seed=3))
     ds2 = ds2.subset(list(range(0, len(ds2), 3)) + list(range(1, len(ds2), 2)))
+    if m2_x is not None:
+        ds2 = replace(ds2, x=m2_x(ds2.x))
     paths = [tmp_path / "m1.csv", tmp_path / "m2.csv"]
     for path, ds in zip(paths, (ds1, ds2)):
         write_feature_csv(path, ds)
     return replace(_small_config(), synth=None, modality1_csv=str(paths[0]),
                    modality2_csv=str(paths[1]))
+
+
+@pytest.mark.parametrize("m2_x, cause", [
+    (np.ones_like, "is constant"),
+    (lambda x: x * 1e-300, "has a std that underflows to 0"),
+], ids=["constant", "underflowing"])
+def test_a_modality_without_spread_fails_before_any_stage_trains(tmp_path, monkeypatch, m2_x, cause):
+    # standardized, every row of such a modality has zero norm, which the
+    # JECL cosine terms cannot score
+    def no_training(*args, **kwargs):
+        raise AssertionError("a JECL stage trained before the spread check")
+
+    monkeypatch.setattr(experiment, "fit_jecl", no_training)
+    cfg = _label_paired_csv_config(tmp_path, m2_x)
+    with pytest.raises(DegenerateVector, match=rf"^\[stage=jec_ssl\] modality 2 \(speech\): every feature {cause}"):
+        run_experiment(cfg)
+    assert len(run_experiment(replace(cfg, setup="baseline"))) == 2
 
 
 @pytest.mark.parametrize("corpus", ["index_paired_synth", "label_paired_csv"])

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jmml import forest
 from jmml.config import ExperimentConfig
 from jmml.errors import NumericalError, ShapeError, SingleClassError
 from jmml.forest import NEG, POS, RandomForest, _grow, evaluate, fit_rf, grid_search, predict
-from jmml.pipeline import mco_oversample, stratified_split, synth_bimodal
+from jmml.pipeline import cv_select, mco_oversample, stratified_split, synth_bimodal
 
 
 def _blobs(n=60, d=4, seed=0, sep=2.0):
@@ -57,6 +58,10 @@ def test_zero_trees_rejected():
     x, y = _blobs()
     with pytest.raises(ValueError):
         fit_rf(x, y, n_estimators=0)
+    # grid search scores its tree counts from prefixes of one fit, so it
+    # must reject a count of 0 itself
+    with pytest.raises(ValueError, match="at least 1 tree"):
+        grid_search(x, y, estimator_grid=(0, 5), depth_grid=(2,), folds=3)
 
 
 def test_bad_labels_rejected():
@@ -396,3 +401,79 @@ def test_grid_search_without_a_two_class_fold_raises():
     # two samples in two folds: every fold trains on one class only
     with pytest.raises(SingleClassError):
         grid_search(np.arange(2.0)[:, None], np.array([POS, NEG]), (2,), (2,), folds=2)
+
+
+def test_evaluate_without_labels_is_a_shape_error():
+    with pytest.raises(ShapeError, match="no labels"):
+        evaluate([], [])
+
+
+def test_grid_search_with_more_folds_than_rows_is_a_shape_error(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("grid search fitted a forest before checking its folds")
+
+    monkeypatch.setattr(forest, "fit_rf", no_fit)
+    x, y = _blobs(n=6, seed=6)
+    with pytest.raises(ShapeError, match=r"grid search.*n=6.*folds=8"):
+        grid_search(x, y, (2, 4), (2,), folds=8)
+
+
+def _grid_search_cases():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, 5))
+    skewed = np.where(x[:, 0] + rng.standard_normal(40) > 1.0, POS, NEG)
+    lone = np.array([NEG] + [POS] * 8)
+    sep_x, sep_y = _blobs(n=24, seed=17, sep=50.0)
+    return {
+        # 11 of 40 rows are '+': macro F1 moves with the tree count
+        "imbalanced": (x, skewed, (3, 12, 7), (1, 6, 3), 4),
+        # the fold that tests the lone '-' row trains on '+' alone and is skipped
+        "one_class_fold": (x[:9], lone, (2, 5), (2, 4), 3),
+        # every size scores 100 on every fold: the smallest must win
+        "tie": (sep_x, sep_y, (4, 9), (1, 3), 4),
+    }
+
+
+def _grid_search_by_refit(x, y, estimator_grid, depth_grid, folds, seed, f1s):
+    """The per-size refit loop: a fresh forest for every (size, fold)."""
+    def neg_f1(size, train_idx, test_idx):
+        if len(np.unique(y[train_idx])) < 2:
+            f1s.append(None)
+        else:
+            rf = fit_rf(x[train_idx], y[train_idx], *size, seed=seed)
+            f1s.append(-evaluate(y[test_idx], predict(rf, x[test_idx])).f1)
+        return f1s[-1]
+
+    sizes = [(n_est, depth) for n_est in sorted(estimator_grid) for depth in sorted(depth_grid)]
+    return cv_select(sizes, len(y), folds, seed, neg_f1)
+
+
+@pytest.mark.parametrize("case", list(_grid_search_cases()))
+def test_grid_search_fold_scores_equal_a_refit_per_size(monkeypatch, case):
+    # one fit per (fold, depth) must score every tree count bit for bit as
+    # a fresh fit of that many trees does
+    x, y, estimator_grid, depth_grid, folds = _grid_search_cases()[case]
+    f1s, ref_f1s, fit_sizes = [], [], []
+
+    def recording_cv_select(candidates, n, folds, seed, loss):
+        def recorded(size, train_idx, test_idx):
+            f1s.append(loss(size, train_idx, test_idx))
+            return f1s[-1]
+        return cv_select(candidates, n, folds, seed, recorded)
+
+    def recording_fit(x, y, n_estimators, max_depth, seed):
+        fit_sizes.append((n_estimators, max_depth))
+        return fit_rf(x, y, n_estimators, max_depth, seed=seed)
+
+    ref_best = _grid_search_by_refit(x, y, estimator_grid, depth_grid, folds, 3, ref_f1s)
+    with monkeypatch.context() as patch:
+        patch.setattr(forest, "cv_select", recording_cv_select)
+        patch.setattr(forest, "fit_rf", recording_fit)
+        best = grid_search(x, y, estimator_grid, depth_grid, folds=folds, seed=3)
+    assert f1s == ref_f1s and best == ref_best
+    assert (case == "one_class_fold") == (None in f1s)
+    if case == "tie":
+        assert set(f1s) == {-100.0} and best == (min(estimator_grid), min(depth_grid))
+    # one fit per two-class fold and depth, at the largest tree count
+    two_class_folds = folds - f1s[:folds].count(None)  # the first candidate's folds
+    assert sorted(fit_sizes) == [(max(estimator_grid), d) for d in sorted(depth_grid) for _ in range(two_class_folds)]

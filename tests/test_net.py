@@ -7,7 +7,7 @@ import pytest
 
 from jmml.errors import NumericalError, ShapeError
 from jmml.losses import grad_check
-from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, zero_grads
+from jmml.net import BLOCK, Adam, DenseLayer, DenseNet, Param, glorot_uniform, zero_grads
 from jmml.serialize import load_checkpoint, save_checkpoint
 
 
@@ -245,6 +245,15 @@ def test_adam_moves_param_built_from_non_contiguous_array():
     p.grad += 1.0
     Adam(lr=0.1).step([p])
     assert (p.value < 1.0).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 128), (88, 176), (832, 1664)])
+def test_glorot_draw_equals_uniform_bits_and_generator_state(shape):
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    limit = np.sqrt(6.0 / sum(shape))
+    w = glorot_uniform(rng, *shape)
+    np.testing.assert_array_equal(w.view(np.uint64), ref.uniform(-limit, limit, size=shape).view(np.uint64))
+    assert rng.random() == ref.random()
 
 
 def test_shape_validation():
